@@ -160,17 +160,17 @@ def cmd_solve(args):
     solution = interp.solve(data, parameter, theta=cm, verify=False)
     expansion = interp.verify_expansion(solution, data, order_tol=args.tol_order)
     plan = _plan(args)
-    ev_neg = inertia(cm.pick).n_neg
-    predicted = estimate_negative_squares(parameter, plan) + ev_neg
+    pick_inertia = inertia(cm.pick)
+    predicted = estimate_negative_squares(parameter, plan) + pick_inertia.n_neg
     observed = estimate_negative_squares(solution, plan)
     status = "pass" if expansion.passed and predicted == observed else "fail"
     report = {
         "status": status,
         "P": _matrix_obj(cm.pick),
         "P_inertia": {
-            "n_pos": inertia(cm.pick).n_pos,
-            "n_neg": ev_neg,
-            "n_zero": inertia(cm.pick).n_zero,
+            "n_pos": pick_inertia.n_pos,
+            "n_neg": pick_inertia.n_neg,
+            "n_zero": pick_inertia.n_zero,
         },
         "p": _pairs(cm.poly.coeffs),
         "theta": {

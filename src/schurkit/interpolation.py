@@ -20,15 +20,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    DegenerateLFT,
     InadmissibleParameter,
     InvalidProblemData,
     NonHermitianPick,
+    PoleAtExpansionPoint,
     PolynomialVanishesAtNode,
     SingularPick,
     VerificationError,
 )
 from .kernels import SamplePlan, estimate_negative_squares, inertia
-from .rational import Mat2RF, Poly, RationalFn, as_rational, unit_circle_samples
+from .rational import Mat2RF, Poly, RationalFn, _deflate, as_rational, unit_circle_samples
 from .tolerances import (
     ADMIS_TOL,
     CIRCLE_TOL,
@@ -205,6 +207,11 @@ class CoeffMatrix:
     theta(z) = (1 - z conj(z0)) p(z) / (1 - z conj(z1))^k; det(mat) == 1 and
     mat is J-unitary on the circle. `neutral` is the direction vector
     (1, conj(tau0)), which is J-neutral.
+
+    The entries share the denominator D = (1 - z conj(z1))^k, so the matrix
+    of entry numerators has determinant D^2: a transform's numerator and
+    denominator can only share powers of (z - z1), which are divided out
+    exactly instead of by a generic reduction.
     """
 
     data: InterpData
@@ -215,7 +222,24 @@ class CoeffMatrix:
     neutral: np.ndarray = field(repr=False)
 
     def apply(self, s):
-        return self.mat.apply(s)
+        """Transform (a s + b) / (c s + d) of a parameter.
+
+        For an admissible parameter the polynomial pair is already coprime.
+        Otherwise the shared power of (z - z1) is the number of leading
+        Taylor coefficients the parameter shares with -d/c, the parameter
+        sent to infinity.
+        """
+        s = as_rational(s)
+        m = self.mat
+        top = m.a.num * s.num + m.b.num * s.den
+        bot = m.c.num * s.num + m.d.num * s.den
+        if bot.is_zero:
+            raise DegenerateLFT("transform denominator is identically zero")
+        j = 0
+        if not admissible_parameter(s, self.data)[0]:
+            pole = RationalFn(-m.d.num, m.c.num, reduce=False)
+            j = _node_contact(s, self.data.z1, pole.taylor(self.data.z1, 2 * self.data.k - 1))
+        return _divide_node(top, bot, self.data.z1, j)
 
     def eval(self, z):
         return self.mat.eval(z)
@@ -229,9 +253,10 @@ def coeff_matrix(data, *, check=True, circle_tol=CIRCLE_TOL):
     """
     P = pick_matrix(data)
     p = pick_polynomial(data, pick=P)
-    theta = RationalFn(Poly((1.0, -np.conj(data.z0))) * p, _node_factor(data, data.k))
-    # Entries 1 -+ theta and +-tau0 theta, all over the denominator of theta,
-    # so transforms reduce cleanly through the shared denominator.
+    # Coprime: p(z1) != 0 (checked) and z0 != z1.
+    weight = Poly((1.0, -np.conj(data.z0))) * p
+    theta = RationalFn(weight, _node_factor(data, data.k), reduce=False)
+    # Entries 1 -+ theta and +-tau0 theta, all over the denominator of theta.
     a = RationalFn(theta.den - theta.num, theta.den, reduce=False)
     b = RationalFn(theta.num * data.tau0, theta.den, reduce=False)
     c = RationalFn(theta.num * (-np.conj(data.tau0)), theta.den, reduce=False)
@@ -288,6 +313,28 @@ class ExpansionReport:
         return f"ExpansionReport(passed={self.passed}, {rows})"
 
 
+def _node_contact(f, z1, expected, order_tol=ORDER_TOL):
+    """Number of leading Taylor coefficients of f at z1 that match
+    `expected`, within verify_expansion's tolerance (0 at a pole)."""
+    tol = order_tol * max(1.0, float(np.max(np.abs(expected))))
+    try:
+        coeff = f.taylor(z1, expected.size - 1)
+    except PoleAtExpansionPoint:
+        return 0
+    miss = np.abs(coeff - expected) > tol
+    return int(np.argmax(miss)) if miss.any() else expected.size
+
+
+def _divide_node(top, bot, z1, j):
+    """top / bot with (z - z1)^j divided out of both by synthetic division."""
+    t, b = top.coeffs, bot.coeffs
+    for _ in range(min(j, bot.degree, top.degree if t.size else j)):
+        b = _deflate(b, z1)[0]
+        if t.size:
+            t = _deflate(t, z1)[0]
+    return RationalFn(Poly(t), Poly(b), reduce=False)
+
+
 def verify_expansion(s, data, *, order_tol=ORDER_TOL):
     """Check the Taylor coefficients of s at z1 against the datum.
 
@@ -331,12 +378,20 @@ def solve(data, s1, *, theta=None, verify=True, order_tol=ORDER_TOL):
 def recover_parameter(s, data, *, theta=None, roundtrip_tol=1e-7):
     """Invert the parametrization: the parameter whose transform is s.
 
-    The inverse transform uses the adjugate (determinant is identically 1);
-    the result is round-trip checked by evaluation.
+    The inverse transform uses the adjugate (determinant is identically 1).
+    Its numerator and denominator share (z - z1)^j, where j is the number of
+    leading datum coefficients s matches (2k for a solution); that factor is
+    divided out exactly. The result is round-trip checked by evaluation.
     """
     s = as_rational(s)
     cm = coeff_matrix(data) if theta is None else theta
-    s1 = cm.mat.inverse().apply(s)
+    m = cm.mat
+    top = m.d.num * s.num - m.b.num * s.den
+    bot = m.a.num * s.den - m.c.num * s.num
+    if bot.is_zero:
+        raise DegenerateLFT("s is the transform of the parameter infinity")
+    j = _node_contact(s, data.z1, data.expected_coefficients())
+    s1 = _divide_node(top, bot, data.z1, j)
     back = cm.apply(s1)
     for x in (0.19 + 0.11j, -0.37, 0.52j):
         ref, got = s(x), back(x)

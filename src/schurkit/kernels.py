@@ -124,61 +124,16 @@ def gram_matrix(s, points, *, pole_clearance=1e-9, diag_tol=1e-12):
     return HermitianSample(points=pts, entries=herm, asymmetry=asym, noise=noise)
 
 
-def hermitian_eigenvalues(matrix, *, sweep_tol=1e-13, max_sweeps=60):
-    """Eigenvalues of a Hermitian matrix by cyclic complex Jacobi rotations.
-
-    Each rotation is a phase followed by a real Givens rotation that zeroes
-    one off-diagonal entry; sweeps repeat until the off-diagonal norm falls
-    below sweep_tol relative to the matrix scale.
-    """
-    A = np.array(matrix, dtype=complex)
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    A = 0.5 * (A + A.conj().T)
-    scale = float(np.max(np.abs(A), initial=0.0))
-    if scale == 0.0:
-        return np.zeros(n)
-    skip = sweep_tol * scale / max(n, 1)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.abs(np.triu(A, 1)) ** 2))
-        if off <= sweep_tol * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = A[p, p].real
-                aqq = A[q, q].real
-                f = abs(apq)
-                phase = apq / f
-                tau = (aqq - app) / (2.0 * f)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s_ = t * c
-                # rows: A <- V^H A with V = diag(1, conj(phase)) . Givens
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s_ * phase * rq
-                A[q, :] = s_ * rp + c * phase * rq
-                # columns: A <- A V
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s_ * np.conj(phase) * cq
-                A[:, q] = s_ * cp + c * np.conj(phase) * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-    return np.sort(np.diag(A).real)
+def hermitian_eigenvalues(matrix):
+    """Ascending eigenvalues of the Hermitian part of a matrix (LAPACK)."""
+    A = np.asarray(matrix, dtype=complex)
+    return np.linalg.eigvalsh(0.5 * (A + A.conj().T))
 
 
 def inertia(sample, tol=1e-10, *, herm_tol=HERM_TOL):
     """Counts of eigenvalues above, below, and inside the zero band.
 
-    The zero band has half-width tol * n * max|entry| to absorb rotation
+    The zero band has half-width tol * n * max|entry| to absorb eigenvalue
     rounding; a sampled Gram matrix must be Hermitian within herm_tol.
     """
     noise = 0.0

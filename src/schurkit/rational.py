@@ -2,9 +2,9 @@
 
 Polynomials are stored as ascending complex coefficient arrays; rational
 functions keep a reduced numerator/denominator pair with a monic denominator.
-Reduction cancels common roots by companion-matrix root matching with
-cluster-aware deflation, so boundary zeros of high multiplicity (the typical
-shape in boundary interpolation identities) cancel cleanly.
+Reduction solves for the cofactors of the greatest common divisor in the null
+space of a Sylvester-type matrix and keeps them only if the quotient still
+evaluates like the input; no roots are computed.
 """
 
 from __future__ import annotations
@@ -243,8 +243,7 @@ _CHECK_POINTS = np.array(
     dtype=complex,
 )
 
-_PAIR_CAP = 3e-2  # largest root mismatch ever considered for cancellation
-_REM_TOL = 1e-8  # deflation remainder bound, relative to a coefficient majorant
+_GCD_TOL = 1e-10  # null-space residual bound, relative to the largest singular value
 _VERIFY_TOL = 1e-7
 
 
@@ -263,99 +262,25 @@ def _same_function(num0, den0, num1, den1):
     return used >= 6
 
 
-def _polish_multiple_root(coeffs, c0, multiplicity, radius):
-    """Refine the location of an m-fold root near c0.
+def _convolution(a, cols):
+    """Matrix of p -> a * p on polynomials with `cols` coefficients."""
+    C = np.zeros((a.size + cols - 1, cols), dtype=complex)
+    for j in range(cols):
+        C[j : j + a.size, j] = a
+    return C
 
-    The (m-1)-th derivative has a simple, well-conditioned root at the same
-    location; a few Newton steps take the cluster centroid (accurate to the
-    coefficient noise) down to machine precision.
+
+def _reduce_fraction(num, den):
+    """Cancel the greatest common divisor of two coefficient arrays.
+
+    With m = deg num and n = deg den, the gcd degree of the norm-scaled pair
+    is the nullity of its Sylvester matrix. For a gcd of degree g the
+    cofactors u = num / gcd and v = den / gcd solve num * v = den * u, i.e.
+    they span the null space of [conv(num) | -conv(den)] with n-g+1 and m-g+1
+    columns. A candidate is accepted when that null vector's residual is
+    within _GCD_TOL of the largest singular value and the quotient u / v
+    still evaluates like the input; otherwise the next lower degree is tried.
     """
-    d = coeffs
-    for _ in range(multiplicity - 1):
-        d = npoly.polyder(d)
-    dd = npoly.polyder(d)
-    c = c0
-    for _ in range(4):
-        f = npoly.polyval(c, d)
-        fp = npoly.polyval(c, dd)
-        if fp == 0:
-            return c0
-        step = f / fp
-        if abs(step) > max(4.0 * radius, 1e-6):
-            return c0
-        c = c - step
-        if abs(step) <= 1e-15 * (1.0 + abs(c)):
-            break
-    return c if abs(c - c0) <= max(4.0 * radius, 1e-6) else c0
-
-
-def _cancel_pairs(num, den, roots_n, roots_d, pairs):
-    """Deflate matched root pairs, dividing both sides at cluster centroids.
-
-    Individual companion roots of an m-fold zero are only accurate to
-    eps**(1/m), but the centroid of the cluster is accurate to eps, so each
-    cancelled factor is removed at the centroid of every nearby root (from
-    both polynomials), Newton-polished through the high-order derivative.
-    Returns None when a deflation remainder is too large, i.e. the proposed
-    pair was not a genuine common factor.
-    """
-    # Link pairs whose midpoints sit on the same perturbation ring: the m
-    # companion roots of an m-fold zero spread on a ring of width eps**(1/m),
-    # much wider than the matched pair distances, so the linkage radius must
-    # come from the observed mid-to-mid spacing, not the pair distance alone.
-    mids = [0.5 * (roots_n[i] + roots_d[j]) for i, j, _ in pairs]
-    dists = [d for _, _, d in pairs]
-    parent = list(range(len(pairs)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            link = max(10.0 * (dists[a] + dists[b]), 1e-9 * (1.0 + abs(mids[a])))
-            if abs(mids[a] - mids[b]) <= link:
-                parent[find(a)] = find(b)
-
-    groups = {}
-    for idx in range(len(pairs)):
-        groups.setdefault(find(idx), []).append(idx)
-
-    new_num, new_den = num, den
-    for members_idx in groups.values():
-        gmids = [mids[idx] for idx in members_idx]
-        center0 = complex(np.mean(gmids))
-        spread = max(abs(m - center0) for m in gmids)
-        radius = max(
-            2.5 * spread,
-            8.0 * max(dists[idx] for idx in members_idx),
-            1e-9 * (1.0 + abs(center0)),
-        )
-        members_n = [r for r in roots_n if abs(r - center0) <= radius]
-        members_d = [r for r in roots_d if abs(r - center0) <= radius]
-        members = members_n + members_d
-        centroid = complex(np.mean(members)) if members else center0
-        polished = []
-        if members_n:
-            polished.append(_polish_multiple_root(num, centroid, len(members_n), radius))
-        if members_d:
-            polished.append(_polish_multiple_root(den, centroid, len(members_d), radius))
-        if polished and max(abs(p - centroid) for p in polished) <= max(4.0 * radius, 1e-6):
-            centroid = complex(np.mean(polished))
-        for _ in range(len(members_idx)):
-            scale_n = _majorant(new_num, centroid)
-            scale_d = _majorant(new_den, centroid)
-            qn, rn = _deflate(new_num, centroid)
-            qd, rd = _deflate(new_den, centroid)
-            if abs(rn) > _REM_TOL * scale_n or abs(rd) > _REM_TOL * scale_d:
-                return None
-            new_num, new_den = qn, qd
-    return _trim(new_num), _trim(new_den)
-
-
-def _reduce_fraction(num, den, root_tol=ROOT_TOL):
     num = _trim(num)
     den = _trim(den)
     if den.size == 0:
@@ -364,49 +289,24 @@ def _reduce_fraction(num, den, root_tol=ROOT_TOL):
         return num, np.array([1.0 + 0j])
     if den.size == 1:
         return num / den[0], np.array([1.0 + 0j])
-
-    # Exact-divisibility fast paths; these catch identities like det == 1
-    # where the numerator equals the denominator up to rounding.
-    if num.size >= den.size:
-        q, r = npoly.polydiv(num, den)
-        if np.max(np.abs(r), initial=0.0) <= 1e-10 * np.max(np.abs(num)):
-            return _trim(q), np.array([1.0 + 0j])
-    if num.size > 1 and den.size > num.size:
-        q, r = npoly.polydiv(den, num)
-        if np.max(np.abs(r), initial=0.0) <= 1e-10 * np.max(np.abs(den)):
-            return np.array([1.0 + 0j]), _trim(q)
-
     if num.size == 1:
         return num, den
-
-    roots_n = npoly.polyroots(num)
-    roots_d = npoly.polyroots(den)
-    dist = np.abs(roots_n[:, None] - roots_d[None, :])
-    order = np.dstack(np.unravel_index(np.argsort(dist, axis=None), dist.shape))[0]
-    pairs = []
-    used_n, used_d = set(), set()
-    for i, j in order:
-        d = dist[i, j]
-        if d > _PAIR_CAP * (1.0 + max(abs(roots_n[i]), abs(roots_d[j]))):
-            break
-        if i in used_n or j in used_d:
+    na, nb = np.linalg.norm(num), np.linalg.norm(den)
+    a, b = num / na, den / nb
+    m, n = a.size - 1, b.size - 1
+    sylvester = np.hstack([_convolution(a, n), _convolution(b, m)])
+    sing = np.linalg.svd(sylvester, compute_uv=False)
+    nullity = int(np.sum(sing <= _GCD_TOL * sing[0]))
+    for g in range(min(nullity, m, n), 0, -1):
+        C = np.hstack([_convolution(a, n - g + 1), -_convolution(b, m - g + 1)])
+        _, sing, vh = np.linalg.svd(C, full_matrices=False)
+        if sing[-1] > _GCD_TOL * sing[0]:
             continue
-        used_n.add(i)
-        used_d.add(j)
-        pairs.append((int(i), int(j), float(d)))
-
-    # Cancel the largest verified prefix of closest pairs. A far pair that
-    # is not a genuine common factor fails the remainder or the evaluation
-    # check and the prefix shrinks past it.
-    for take in range(len(pairs), 0, -1):
-        cand = _cancel_pairs(num, den, roots_n, roots_d, pairs[:take])
-        if cand is None:
-            continue
-        cn, cd = cand
-        if cd.size == 0 or cn.size == 0:
-            continue
-        if _same_function(num, den, cn, cd):
-            return cn, cd
+        null = vh[-1].conj()
+        v, u = _trim(null[: n - g + 1]), _trim(null[n - g + 1 :])
+        u = u * (na / nb)
+        if u.size and v.size and _same_function(num, den, u, v):
+            return u, v
     return num, den
 
 
@@ -415,13 +315,13 @@ class RationalFn:
 
     __slots__ = ("num", "den", "_poles", "_zeros")
 
-    def __init__(self, num, den=1.0, *, root_tol=ROOT_TOL, reduce=True):
+    def __init__(self, num, den=1.0, *, reduce=True):
         pn = num if isinstance(num, Poly) else Poly(num)
         pd = den if isinstance(den, Poly) else Poly(den)
         if pd.is_zero:
             raise ZeroDenominator("denominator is the zero polynomial")
         if reduce:
-            cn, cd = _reduce_fraction(pn.coeffs, pd.coeffs, root_tol)
+            cn, cd = _reduce_fraction(pn.coeffs, pd.coeffs)
         else:
             cn, cd = pn.coeffs, pd.coeffs
         lead = cd[-1]
@@ -679,24 +579,9 @@ class Mat2RF:
             [[self.a(z), self.b(z)], [self.c(z), self.d(z)]], dtype=complex
         )
 
-    def _common_den(self):
-        d0 = self.a.den.coeffs
-        for e in (self.b, self.c, self.d):
-            if not np.array_equal(e.den.coeffs, d0):
-                return False
-        return True
-
     def apply(self, s):
         """(a*s + b) / (c*s + d), fully reduced."""
         s = as_rational(s)
-        if self._common_den():
-            # The shared denominator cancels between numerator and
-            # denominator of the transform; work with polynomials directly.
-            top = self.a.num * s.num + self.b.num * s.den
-            bot = self.c.num * s.num + self.d.num * s.den
-            if bot.is_zero:
-                raise DegenerateLFT("transform denominator is identically zero")
-            return RationalFn(top, bot)
         top = self.a * s + self.b
         bot = self.c * s + self.d
         if bot.is_zero:

@@ -60,25 +60,23 @@ __all__ = [
 ]
 
 
-def _snap_dust(diff, *refs, rel=1e-10):
-    """Zero out a difference whose coefficients are rounding dust.
+def _difference(f, g, *, rel=1e-10):
+    """f - g as f.num g.den - g.num f.den over f.den g.den, unreduced.
 
-    A difference of two representations of the same function can leave
-    coefficients around 1e-16 that survive relative trimming (they are their
-    own scale). Identity decisions therefore compare the difference against
-    the working scale of the operands it came from.
+    A difference of two representations of the same function leaves
+    rounding dust that survives relative trimming (it is its own scale), so
+    the numerator counts as zero when it is below `rel` times the scale of
+    the products it came from.
     """
-    if diff.is_zero:
-        return diff
+    g = as_rational(g)
+    num = f.num * g.den - g.num * f.den
     scale = 1.0
-    for f in refs:
-        if f.num.coeffs.size:
-            scale = max(scale, float(np.max(np.abs(f.num.coeffs))))
-        if f.den.coeffs.size:
-            scale = max(scale, float(np.max(np.abs(f.den.coeffs))))
-    if float(np.max(np.abs(diff.num.coeffs))) <= rel * scale:
-        return RationalFn(Poly.zero(), Poly.one(), reduce=False)
-    return diff
+    for p, q in ((f.num, g.den), (g.num, f.den)):
+        if not p.is_zero:
+            scale = max(scale, float(np.max(np.abs(p.coeffs)) * np.max(np.abs(q.coeffs))))
+    if not num.is_zero and float(np.max(np.abs(num.coeffs))) <= rel * scale:
+        num = Poly.zero()
+    return RationalFn(num, f.den * g.den, reduce=False)
 
 
 @dataclass(frozen=True)
@@ -195,8 +193,7 @@ def contact_order_probe(sigma, x, path=PathSpec()):
         raise ValueError("contact value must be unimodular")
     sigma = as_rational(sigma)
     schur_circle_check(sigma)
-    diff = sigma - x
-    order = diff.vanishing_order(path.z1)
+    order = _difference(sigma, x).vanishing_order(path.z1)
     if order == INF:
         return ContactReport(order=INF, identical=True, message="sigma is identically x")
     if order >= 2:
@@ -214,7 +211,7 @@ class RigidityVerdict:
     residual_report: str
 
 
-def rigidity_check(data, x, s, *, path=None):
+def rigidity_check(data, x, s):
     """Compare a verified solution against the distinguished solution T(x).
 
     forced_identity holds when s - T(x) vanishes at z1 to order at least
@@ -233,8 +230,7 @@ def rigidity_check(data, x, s, *, path=None):
     cm = coeff_matrix(data)
     b = solve(data, x, theta=cm)
     required = 2 * data.k + 2
-    diff = _snap_dust(s - b, s, b)
-    observed = diff.vanishing_order(data.z1)
+    observed = _difference(s, b).vanishing_order(data.z1)
     forced = observed >= required
     notes = []
     if forced:
@@ -245,7 +241,7 @@ def rigidity_check(data, x, s, *, path=None):
         notes.append("s coincides with the distinguished solution")
     else:
         s1 = recover_parameter(s, data, theta=cm)
-        dev = (s1 - x).vanishing_order(data.z1)
+        dev = _difference(s1, x).vanishing_order(data.z1)
         notes.append(f"observed order {observed} < required {required}")
         notes.append(f"recovered parameter deviates from x at order {dev}")
     kappa_pole = int(sum(1 for p in s.poles() if abs(p) < 1.0))
@@ -366,7 +362,7 @@ def affine_equivalences(s, alpha, *, grid=None, bound_tol=1e-9):
     if not report.passed:
         raise HypothesisNotMet(f"candidate does not match the first-order data: {report}")
     affine = RationalFn(Poly((1.0 - alpha, alpha)), Poly.one(), reduce=False)
-    deviation = _snap_dust(s - affine, s, affine).vanishing_order(1.0)
+    deviation = _difference(s, affine).vanishing_order(1.0)
     if deviation < 4:
         raise HypothesisNotMet(
             f"candidate only matches the affine map to order {deviation} < 4 at 1"
@@ -374,7 +370,7 @@ def affine_equivalences(s, alpha, *, grid=None, bound_tol=1e-9):
     identity = deviation == INF
     s1 = recover_parameter(s, data)
     target = 1.0 - 2.0 * alpha
-    param_const = _snap_dust(s1 - target, s1).is_zero
+    param_const = _difference(s1, target).is_zero
     if any(abs(p) <= 1.0 for p in s1.poles()):
         param_bound = False
     else:
@@ -413,8 +409,9 @@ def cayley_decomposition(s, alpha, *, order_tol=ORDER_TOL):
     shift = (1.0 - alpha) / alpha
     f1 = f - shift
     model = RationalFn(Poly((1.0, 1.0)), Poly((1.0, -1.0))) * (1.0 / alpha)
-    r = _snap_dust(f - model - shift, f, model)
+    r = _difference(f, model + shift)
     if not r.is_zero:
+        r = RationalFn(r.num, r.den)
         order = r.vanishing_order(1.0, tol=order_tol)
         if order < 2:
             raise VerificationError(

@@ -9,7 +9,8 @@ accepts it as a keyword argument.
 # coefficient magnitude of the polynomial being trimmed).
 TRIM_REL = 1e-12
 
-# Root matching / pole detection tolerance for rational-function reduction.
+# Pole detection at a Taylor expansion point and vanishing of the Pick
+# polynomial at the node.
 ROOT_TOL = 1e-8
 
 # Unit-circle checks (unimodularity of data points, Blaschke modulus,

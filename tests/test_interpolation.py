@@ -162,6 +162,14 @@ class TestCoeffMatrix:
             assert det.is_constant()
             assert abs(det.constant_value() - 1.0) < 1e-9
 
+    def test_apply_tau0_is_reduced_constant(self, rng):
+        # the transform of tau0 is tau0 D / D with D = (1 - conj(z1) z)^k
+        for k in (1, 2, 3):
+            data = random_interp_data(rng, k)
+            s = coeff_matrix(data).apply(data.tau0)
+            assert s.degree == 0
+            assert abs(s.constant_value() - data.tau0) < 1e-12
+
     def test_j_unitary_on_circle(self, rng):
         data = random_interp_data(rng, 2)
         cm = coeff_matrix(data)
@@ -255,6 +263,34 @@ class TestRecover:
             s = solve(data, s1)
             back = recover_parameter(s, data)
             assert back.allclose(s1, 1e-9)
+
+
+    @pytest.mark.parametrize(
+        "s, num, den",
+        [
+            (RationalFn([0.3]), [1 / 27, 13 / 27], [-13 / 27, 1]),
+            (RationalFn([0.1, 0.5]), [-1.4, 0.8, -1], [2.2, -4.8, 1]),
+            (RationalFn([0, 0, 1]), [1, 2, -1], [-1, 2, 1]),
+        ],
+    )
+    def test_non_solutions_round_trip(self, s, num, den):
+        # s matches 0, 0 and 1 of the two datum coefficients of D4
+        s1 = recover_parameter(s, D4)
+        assert s1.allclose(RationalFn(Poly(num), Poly(den), reduce=False), 1e-12)
+        assert coeff_matrix(D4).apply(s1).allclose(s, 1e-12)
+
+    def test_bijection_at_k5(self):
+        rng = np.random.default_rng(52101)
+        for _ in range(30):
+            data = random_interp_data(rng, 5)
+            s1 = random_admissible_parameter(rng, data)
+            cm = coeff_matrix(data)
+            back = recover_parameter(solve(data, s1, theta=cm), data, theta=cm)
+            for mine, ref in ((back.num, s1.num), (back.den, s1.den)):
+                n = max(mine.coeffs.size, ref.coeffs.size)
+                a = np.pad(mine.coeffs, (0, n - mine.coeffs.size))
+                b = np.pad(ref.coeffs, (0, n - ref.coeffs.size))
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-9
 
 
 class TestClosedForm:
