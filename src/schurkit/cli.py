@@ -50,7 +50,7 @@ def _from_pair(v, what):
     if (
         not isinstance(v, (list, tuple))
         or len(v) != 2
-        or not all(isinstance(x, (int, float)) and np.isfinite(x) for x in v)
+        or not all(type(x) in (int, float) and np.isfinite(x) for x in v)
     ):
         raise ValueError(f"{what} must be a [re, im] pair of finite numbers")
     return complex(v[0], v[1])
@@ -86,7 +86,7 @@ def parse_problem(obj):
     for key in ("z1", "k", "tau0", "tau"):
         if key not in obj:
             raise ValueError(f"problem file missing required key '{key}'")
-    if not isinstance(obj["k"], int):
+    if type(obj["k"]) is not int:
         raise ValueError("k must be an integer")
     if not isinstance(obj["tau"], list):
         raise ValueError("tau must be an array of [re, im] pairs")
@@ -136,7 +136,7 @@ def _emit_text(obj, indent):
 
 def _tolerances(args):
     return {
-        "tol_root": args.tol_root,
+        "tol_root": ROOT_TOL,
         "tol_circle": args.tol_circle,
         "tol_order": args.tol_order,
         "radius": args.radius,
@@ -286,10 +286,6 @@ def _row(name, ok, detail=""):
     return {"check": name, "passed": bool(ok), "detail": detail}
 
 
-def _fn_close(f, g, tol):
-    return f.allclose(g, tol)
-
-
 def _demo_burns_krantz(args):
     data = interp.InterpData(z1=1.0, k=1, tau0=1.0, tau=(1.0,), z0=-1.0)
     cm = interp.coeff_matrix(data)
@@ -302,10 +298,10 @@ def _demo_burns_krantz(args):
         "c": RationalFn(Poly([-1, -1]), Poly([2, -2])),
         "d": RationalFn(Poly([3, -1]), Poly([2, -2])),
     }
-    ok = all(_fn_close(getattr(cm.mat, k), golden[k], 1e-12) for k in golden)
+    ok = all(getattr(cm.mat, k).allclose(golden[k], 1e-12) for k in golden)
     rows.append(_row("coefficient matrix matches closed form", ok))
     s = interp.solve(data, -1.0, theta=cm)
-    rows.append(_row("parameter -1 solves to z", _fn_close(s, RationalFn.x(), 1e-12)))
+    rows.append(_row("parameter -1 solves to z", s.allclose(RationalFn.x(), 1e-12)))
     v = rig.rigidity_check(data, -1.0, RationalFn.x())
     rows.append(_row("candidate z is forced", v.forced_identity))
     s_alt = interp.solve(data, RationalFn([0, -1], [1]), theta=cm)
@@ -333,11 +329,11 @@ def _demo_inverse(args):
         "c": RationalFn(Poly([1, 1]), Poly([2, -2])),
         "d": RationalFn(Poly([1, -3]), Poly([2, -2])),
     }
-    ok = all(_fn_close(getattr(cm.mat, k), golden[k], 1e-12) for k in golden)
+    ok = all(getattr(cm.mat, k).allclose(golden[k], 1e-12) for k in golden)
     rows.append(_row("coefficient matrix matches closed form", ok))
     recip = RationalFn([1], [0, 1])
     s = interp.solve(data, -1.0, theta=cm)
-    rows.append(_row("parameter -1 solves to 1/z", _fn_close(s, recip, 1e-12)))
+    rows.append(_row("parameter -1 solves to 1/z", s.allclose(recip, 1e-12)))
     pred, obs = interp.solution_negative_squares(data, -1.0, _plan(args))
     rows.append(_row("negative squares (1, 1)", (pred, obs) == (1, 1)))
     v = rig.rigidity_check(data, -1.0, recip)
@@ -365,12 +361,12 @@ def _demo_alpha(args):
         "c": RationalFn(Poly([-1, -1]), den),
         "d": RationalFn(Poly([2 * alpha + 1, -(2 * alpha - 1)]), den),
     }
-    ok = all(_fn_close(getattr(cm.mat, k), golden[k], 1e-12) for k in golden)
+    ok = all(getattr(cm.mat, k).allclose(golden[k], 1e-12) for k in golden)
     rows.append(_row("coefficient matrix matches closed form", ok))
     affine = RationalFn(Poly([1 - alpha, alpha]), Poly.one())
     s = interp.solve(data, 1 - 2 * alpha, theta=cm)
     rows.append(
-        _row("parameter 1-2a solves to the affine map", _fn_close(s, affine, 1e-12))
+        _row("parameter 1-2a solves to the affine map", s.allclose(affine, 1e-12))
     )
     beta = 1.0 / 20.0
     q = None
@@ -397,7 +393,7 @@ def _demo_alpha(args):
             rows.append(
                 _row(
                     "recovered parameter matches closed form",
-                    _fn_close(rep.parameter, expected, 1e-9),
+                    rep.parameter.allclose(expected, 1e-9),
                 )
             )
     rep_affine = rig.affine_equivalences(affine, alpha)
@@ -448,7 +444,6 @@ def _build_parser():
         prog="schurkit",
         description="Boundary interpolation, negative squares, and rigidity checks",
     )
-    parser.add_argument("--tol-root", type=float, default=ROOT_TOL)
     parser.add_argument("--tol-circle", type=float, default=CIRCLE_TOL)
     parser.add_argument("--tol-order", type=float, default=ORDER_TOL)
     parser.add_argument("--samples", type=int, default=256)

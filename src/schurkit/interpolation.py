@@ -14,6 +14,7 @@ solution acquires.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -96,8 +97,9 @@ class InterpData:
             raise InvalidProblemData("z1 not unimodular")
         if abs(abs(self.tau0) - 1.0) > CIRCLE_TOL:
             raise InvalidProblemData("tau0 not unimodular")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool) or self.k < 1:
             raise InvalidProblemData("k must be an integer >= 1")
+        object.__setattr__(self, "k", int(self.k))
         if self.k > MAX_CONTACT_ORDER:
             raise InvalidProblemData(f"k exceeds cap {MAX_CONTACT_ORDER}")
         if len(self.tau) != self.k:
@@ -145,22 +147,22 @@ def binomial_matrix(data):
     return B
 
 
-def pick_matrix(data, *, herm_tol=HERM_TOL, cond_warn=PICK_COND_WARN):
+def pick_matrix(data):
     """Structured Pick matrix conj(tau0) * T * B of the datum.
 
     Raises NonHermitianPick when the data are incompatible with a Hermitian
     matrix (the parametrization covers only the Hermitian case) and
     SingularPick when numerically singular. A warning is emitted when the
-    condition number exceeds cond_warn, since the matrix is inverted.
+    condition number exceeds PICK_COND_WARN, since the matrix is inverted.
     """
     P = np.conj(data.tau0) * toeplitz_matrix(data) @ binomial_matrix(data)
     scale = float(np.max(np.abs(P)))
-    if np.max(np.abs(P - P.conj().T)) > herm_tol * scale:
+    if np.max(np.abs(P - P.conj().T)) > HERM_TOL * scale:
         raise NonHermitianPick("Pick matrix of the data is not Hermitian")
     cond = float(np.linalg.cond(P))
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularPick("Pick matrix is numerically singular")
-    if cond > cond_warn:
+    if cond > PICK_COND_WARN:
         warnings.warn(f"Pick matrix condition number {cond:.3g}", stacklevel=2)
     return P
 
@@ -176,7 +178,7 @@ def _row_values(data, z):
     return np.array([z**j / base ** (j + 1) for j in range(data.k)], dtype=complex)
 
 
-def pick_polynomial(data, *, pick=None, root_tol=ROOT_TOL):
+def pick_polynomial(data, *, pick=None):
     """Polynomial p of degree <= k-1 with p(z1) != 0 that generates the
     coefficient matrix.
 
@@ -194,7 +196,7 @@ def pick_polynomial(data, *, pick=None, root_tol=ROOT_TOL):
         p = p + entry * weights[j]
     pz1 = p(data.z1)
     scale = float(np.max(np.abs(p.coeffs), initial=0.0))
-    if abs(pz1) <= root_tol * max(scale, 1e-300):
+    if abs(pz1) <= ROOT_TOL * max(scale, 1e-300):
         raise PolynomialVanishesAtNode("interpolation polynomial vanishes at z1")
     return p
 
@@ -245,11 +247,11 @@ class CoeffMatrix:
         return self.mat.eval(z)
 
 
-def coeff_matrix(data, *, check=True, circle_tol=CIRCLE_TOL):
+def coeff_matrix(data):
     """Build the coefficient matrix function for the datum.
 
-    With check=True the construction is validated: determinant 1 at interior
-    samples and J-unitarity at circle samples away from z1.
+    The construction is validated: determinant 1 at interior samples and
+    J-unitarity at circle samples away from z1.
     """
     P = pick_matrix(data)
     p = pick_polynomial(data, pick=P)
@@ -263,28 +265,26 @@ def coeff_matrix(data, *, check=True, circle_tol=CIRCLE_TOL):
     d = RationalFn(theta.den + theta.num, theta.den, reduce=False)
     mat = Mat2RF(a, b, c, d)
     u = np.array([1.0, np.conj(data.tau0)], dtype=complex)
-    out = CoeffMatrix(data=data, theta=theta, poly=p, pick=P, mat=mat, neutral=u)
-    if check:
-        for z in (0.0, 0.31 + 0.17j, -0.42j, -0.55 + 0.2j):
-            m = mat.eval(z)
-            if abs(np.linalg.det(m) - 1.0) > 1e-8 * (1.0 + np.max(np.abs(m)) ** 2):
-                raise VerificationError("determinant of the coefficient matrix is not 1")
-        for w in unit_circle_samples(16):
-            if abs(w - data.z1) < 0.2:
-                continue
-            m = mat.eval(w)
-            resid = np.max(np.abs(m @ J @ m.conj().T - J))
-            if resid > circle_tol * (1.0 + np.max(np.abs(m)) ** 2):
-                raise VerificationError("coefficient matrix is not J-unitary on the circle")
-    return out
+    for z in (0.0, 0.31 + 0.17j, -0.42j, -0.55 + 0.2j):
+        m = mat.eval(z)
+        if abs(np.linalg.det(m) - 1.0) > 1e-8 * (1.0 + np.max(np.abs(m)) ** 2):
+            raise VerificationError("determinant of the coefficient matrix is not 1")
+    for w in unit_circle_samples(16):
+        if abs(w - data.z1) < 0.2:
+            continue
+        m = mat.eval(w)
+        resid = np.max(np.abs(m @ J @ m.conj().T - J))
+        if resid > CIRCLE_TOL * (1.0 + np.max(np.abs(m)) ** 2):
+            raise VerificationError("coefficient matrix is not J-unitary on the circle")
+    return CoeffMatrix(data=data, theta=theta, poly=p, pick=P, mat=mat, neutral=u)
 
 
-def admissible_parameter(s1, data, *, admis_tol=ADMIS_TOL):
+def admissible_parameter(s1, data):
     """Whether the parameter stays away from tau0 at z1.
 
     For a rational parameter the nontangential limit at z1 exists (a finite
     value or a pole); the parameter is admissible when it has a pole at z1
-    or its value there differs from tau0 by more than admis_tol. Returns
+    or its value there differs from tau0 by more than ADMIS_TOL. Returns
     (admissible, diagnostic string).
     """
     s1 = as_rational(s1)
@@ -293,9 +293,9 @@ def admissible_parameter(s1, data, *, admis_tol=ADMIS_TOL):
         return True, f"parameter has a pole of order {-order} at z1"
     value = s1(data.z1)
     gap = abs(value - data.tau0)
-    if gap > admis_tol:
+    if gap > ADMIS_TOL:
         return True, f"|s1(z1) - tau0| = {gap:.3g}"
-    return False, f"|s1(z1) - tau0| = {gap:.3g} <= {admis_tol:.3g}"
+    return False, f"|s1(z1) - tau0| = {gap:.3g} <= {ADMIS_TOL:.3g}"
 
 
 @dataclass(frozen=True)
@@ -313,10 +313,10 @@ class ExpansionReport:
         return f"ExpansionReport(passed={self.passed}, {rows})"
 
 
-def _node_contact(f, z1, expected, order_tol=ORDER_TOL):
+def _node_contact(f, z1, expected):
     """Number of leading Taylor coefficients of f at z1 that match
-    `expected`, within verify_expansion's tolerance (0 at a pole)."""
-    tol = order_tol * max(1.0, float(np.max(np.abs(expected))))
+    `expected`, within verify_expansion's default tolerance (0 at a pole)."""
+    tol = ORDER_TOL * max(1.0, float(np.max(np.abs(expected))))
     try:
         coeff = f.taylor(z1, expected.size - 1)
     except PoleAtExpansionPoint:
@@ -356,7 +356,7 @@ def verify_expansion(s, data, *, order_tol=ORDER_TOL):
     )
 
 
-def solve(data, s1, *, theta=None, verify=True, order_tol=ORDER_TOL):
+def solve(data, s1, *, theta=None, verify=True):
     """Solution of the interpolation problem for an admissible parameter.
 
     Applies the linear-fractional transform of the coefficient matrix and
@@ -369,13 +369,13 @@ def solve(data, s1, *, theta=None, verify=True, order_tol=ORDER_TOL):
     cm = coeff_matrix(data) if theta is None else theta
     s = cm.apply(s1)
     if verify:
-        report = verify_expansion(s, data, order_tol=order_tol)
+        report = verify_expansion(s, data)
         if not report.passed:
             raise VerificationError(f"solution fails the expansion check: {report}")
     return s
 
 
-def recover_parameter(s, data, *, theta=None, roundtrip_tol=1e-7):
+def recover_parameter(s, data, *, theta=None):
     """Invert the parametrization: the parameter whose transform is s.
 
     The inverse transform uses the adjugate (determinant is identically 1).
@@ -395,12 +395,12 @@ def recover_parameter(s, data, *, theta=None, roundtrip_tol=1e-7):
     back = cm.apply(s1)
     for x in (0.19 + 0.11j, -0.37, 0.52j):
         ref, got = s(x), back(x)
-        if abs(ref - got) > roundtrip_tol * (1.0 + abs(ref)):
+        if abs(ref - got) > 1e-7 * (1.0 + abs(ref)):
             raise VerificationError("parameter recovery failed the round trip")
     return s1
 
 
-def denominator_closed_form(s1, data, *, theta=None, match_tol=1e-8):
+def denominator_closed_form(s1, data, *, theta=None):
     """Closed form of c*s1 + d:
 
         ((1-z conj(z1))^k - conj(tau0) (1-z conj(z0)) p(z) (s1 - tau0))
@@ -416,7 +416,8 @@ def denominator_closed_form(s1, data, *, theta=None, match_tol=1e-8):
     numerator = node - weight * (s1 - data.tau0) * np.conj(data.tau0)
     closed = numerator / node
     direct = cm.mat.c * s1 + cm.mat.d
-    if not closed.allclose(direct, match_tol * max(1.0, _coeff_scale(direct))):
+    scale = float(np.max(np.abs(np.concatenate([direct.num.coeffs, direct.den.coeffs]))))
+    if not closed.allclose(direct, 1e-8 * max(1.0, scale)):
         raise VerificationError("closed form disagrees with direct c*s1 + d")
     ok, _ = admissible_parameter(s1, data)
     if ok and numerator.vanishing_order(data.z1) > 0:
@@ -424,16 +425,7 @@ def denominator_closed_form(s1, data, *, theta=None, match_tol=1e-8):
     return closed
 
 
-def _coeff_scale(f):
-    s = 0.0
-    if f.num.coeffs.size:
-        s = max(s, float(np.max(np.abs(f.num.coeffs))))
-    if f.den.coeffs.size:
-        s = max(s, float(np.max(np.abs(f.den.coeffs))))
-    return s
-
-
-def renormalize(data, new_z0, *, sample_tol=1e-8):
+def renormalize(data, new_z0):
     """Coefficient matrix for a different normalization point.
 
     Returns (new coefficient matrix, U) where U is the constant J-unitary
@@ -445,18 +437,18 @@ def renormalize(data, new_z0, *, sample_tol=1e-8):
     shift = complex(cm_new.theta(data.z0))
     u = cm_new.neutral.reshape(2, 1)
     U = np.eye(2, dtype=complex) + shift * (u @ u.conj().T @ J)
-    if np.max(np.abs(U @ J @ U.conj().T - J)) > sample_tol * (1.0 + np.max(np.abs(U)) ** 2):
+    if np.max(np.abs(U @ J @ U.conj().T - J)) > 1e-8 * (1.0 + np.max(np.abs(U)) ** 2):
         raise VerificationError("renormalization matrix is not J-unitary")
     cm_old = coeff_matrix(data)
     for z in (0.23 + 0.4j, -0.51, 0.08 - 0.61j):
         lhs = cm_old.eval(z)
         rhs = cm_new.eval(z) @ U
-        if np.max(np.abs(lhs - rhs)) > sample_tol * (1.0 + np.max(np.abs(lhs))):
+        if np.max(np.abs(lhs - rhs)) > 1e-8 * (1.0 + np.max(np.abs(lhs))):
             raise VerificationError("renormalization identity failed at a sample point")
     return cm_new, U
 
 
-def solution_negative_squares(data, s1, plan=None, *, inertia_tol=1e-10):
+def solution_negative_squares(data, s1, plan=None):
     """Predicted and observed negative squares of the solution.
 
     predicted = sq_-(parameter) + (negative eigenvalues of the Pick matrix);
@@ -465,7 +457,7 @@ def solution_negative_squares(data, s1, plan=None, *, inertia_tol=1e-10):
     plan = plan or SamplePlan()
     s1 = as_rational(s1)
     cm = coeff_matrix(data)
-    ev_neg = inertia(cm.pick, tol=inertia_tol).n_neg
+    ev_neg = inertia(cm.pick).n_neg
     predicted = estimate_negative_squares(s1, plan) + ev_neg
     s = solve(data, s1, theta=cm)
     observed = estimate_negative_squares(s, plan)

@@ -18,7 +18,7 @@ from .errors import (
     PoleProximity,
 )
 from .rational import RationalFn, as_rational
-from .tolerances import HERM_TOL, MAX_DEGREE
+from .tolerances import DIAG_TOL, HERM_TOL, MAX_DEGREE, POLE_CLEARANCE
 
 __all__ = [
     "HermitianSample",
@@ -88,27 +88,27 @@ def _pole_distance(s, pts):
     return np.min(np.abs(np.asarray(pts)[..., None] - poles[None, :]), axis=-1)
 
 
-def schur_kernel(s, z, w, *, pole_clearance=1e-9, diag_tol=1e-12):
+def schur_kernel(s, z, w, *, pole_clearance=POLE_CLEARANCE):
     """Evaluate (1 - s(z) conj(s(w))) / (1 - z conj(w)) at one pair of points."""
     s = as_rational(s)
     z = complex(z)
     w = complex(w)
     d = 1.0 - z * np.conj(w)
-    if abs(d) <= diag_tol * (1.0 + abs(z) * abs(w)):
+    if abs(d) <= DIAG_TOL * (1.0 + abs(z) * abs(w)):
         raise DiagonalSingularity(f"1 - z*conj(w) vanishes at z={z}, w={w}")
     if min(_pole_distance(s, np.array([z, w]))) <= pole_clearance:
         raise PoleProximity("evaluation point too close to a pole")
     return (1.0 - s(z) * np.conj(s(w))) / d
 
 
-def gram_matrix(s, points, *, pole_clearance=1e-9, diag_tol=1e-12):
+def gram_matrix(s, points):
     """Sampled kernel Gram matrix, symmetrized, with the asymmetry reported."""
     s = as_rational(s)
     pts = np.asarray(points, dtype=complex).ravel()
-    if np.any(_pole_distance(s, pts) <= pole_clearance):
+    if np.any(_pole_distance(s, pts) <= POLE_CLEARANCE):
         raise PoleProximity("sample point too close to a pole")
     denom = 1.0 - np.outer(pts, np.conj(pts))
-    if np.min(np.abs(denom)) <= diag_tol * (1.0 + np.max(np.abs(pts)) ** 2):
+    if np.min(np.abs(denom)) <= DIAG_TOL * (1.0 + np.max(np.abs(pts)) ** 2):
         raise DiagonalSingularity("points z, w with z*conj(w) = 1 in the sample")
     sv = s(pts)
     raw = (1.0 - np.outer(sv, np.conj(sv))) / denom
@@ -130,28 +130,28 @@ def hermitian_eigenvalues(matrix):
     return np.linalg.eigvalsh(0.5 * (A + A.conj().T))
 
 
-def inertia(sample, tol=1e-10, *, herm_tol=HERM_TOL):
+def inertia(sample):
     """Counts of eigenvalues above, below, and inside the zero band.
 
-    The zero band has half-width tol * n * max|entry| to absorb eigenvalue
-    rounding; a sampled Gram matrix must be Hermitian within herm_tol.
+    The zero band has half-width 1e-10 * n * max|entry| to absorb eigenvalue
+    rounding; a sampled Gram matrix must be Hermitian within HERM_TOL.
     """
     noise = 0.0
     if isinstance(sample, HermitianSample):
-        if sample.asymmetry > herm_tol:
-            raise NotHermitian(f"asymmetry {sample.asymmetry:.3g} exceeds {herm_tol:.3g}")
+        if sample.asymmetry > HERM_TOL:
+            raise NotHermitian(f"asymmetry {sample.asymmetry:.3g} exceeds {HERM_TOL:.3g}")
         H = sample.entries
         noise = sample.noise
     else:
         H = np.asarray(sample, dtype=complex)
         scale = float(np.max(np.abs(H), initial=0.0))
-        if scale > 0 and np.max(np.abs(H - H.conj().T)) > herm_tol * scale:
+        if scale > 0 and np.max(np.abs(H - H.conj().T)) > HERM_TOL * scale:
             raise NotHermitian("matrix asymmetry exceeds tolerance")
         H = 0.5 * (H + H.conj().T)
     n = H.shape[0]
     eig = hermitian_eigenvalues(H)
     scale = float(np.max(np.abs(H), initial=0.0))
-    band = tol * max(n, 1) * scale + max(n, 1) * noise
+    band = 1e-10 * max(n, 1) * scale + max(n, 1) * noise
     n_pos = int(np.sum(eig > band))
     n_neg = int(np.sum(eig < -band))
     return Inertia(n_pos=n_pos, n_neg=n_neg, n_zero=n - n_pos - n_neg)
@@ -200,7 +200,7 @@ def _draw_points(rng, count, radius, clearance, poles, existing):
     return out
 
 
-def estimate_negative_squares(s, plan=SamplePlan(), *, inertia_tol=1e-10):
+def estimate_negative_squares(s, plan=SamplePlan()):
     """Estimated number of negative squares of the kernel of s.
 
     Seeds the point set with a few probes near each disk pole (where the
@@ -224,7 +224,7 @@ def estimate_negative_squares(s, plan=SamplePlan(), *, inertia_tol=1e-10):
     count = plan.initial_points
     while True:
         pts = _draw_points(rng, count, plan.radius, plan.pole_clearance, poles, pts)
-        result = inertia(gram_matrix(s, pts), tol=inertia_tol)
+        result = inertia(gram_matrix(s, pts))
         if result.n_neg > best:
             best = result.n_neg
             stable = 1

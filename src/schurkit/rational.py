@@ -26,7 +26,8 @@ from .errors import (
     PoleAtOne,
     ZeroDenominator,
 )
-from .tolerances import CIRCLE_TOL, MAX_DEGREE, ORDER_TOL, ROOT_TOL, TRIM_REL
+from .tolerances import BOUNDARY_MARGIN, CIRCLE_SAMPLES, CIRCLE_TOL, MAX_DEGREE
+from .tolerances import ORDER_TOL, ROOT_TOL, TRIM_REL
 
 __all__ = [
     "Poly",
@@ -211,12 +212,12 @@ class Poly:
             return np.zeros(0, dtype=complex)
         return npoly.polyroots(self.coeffs)
 
-    def valuation(self, center, tol=ORDER_TOL):
+    def valuation(self, center):
         """Order of vanishing at `center` (INF for the zero polynomial)."""
         if self.is_zero:
             return INF
         b = self.shifted(center)
-        cut = tol * float(np.max(np.abs(b)))
+        cut = ORDER_TOL * float(np.max(np.abs(b)))
         for j, v in enumerate(b):
             if abs(v) > cut:
                 return j
@@ -353,7 +354,7 @@ class RationalFn:
     def is_zero(self):
         return self.num.is_zero
 
-    def is_constant(self, tol=1e-12):
+    def is_constant(self):
         return self.num.degree <= 0 and self.den.degree == 0
 
     def constant_value(self):
@@ -442,7 +443,7 @@ class RationalFn:
             return NotImplemented
         return g / self
 
-    def taylor(self, center, order, *, pole_tol=ROOT_TOL):
+    def taylor(self, center, order):
         """Taylor coefficients c_0..c_order of the function at `center`.
 
         Computed by shifting numerator and denominator to powers of
@@ -454,7 +455,7 @@ class RationalFn:
         if self.num.is_zero:
             return np.zeros(n, dtype=complex)
         b = self.den.shifted(center)
-        if abs(b[0]) <= pole_tol * float(np.max(np.abs(b))):
+        if abs(b[0]) <= ROOT_TOL * float(np.max(np.abs(b))):
             raise PoleAtExpansionPoint(f"denominator vanishes at {center}")
         a = self.num.shifted(center)
         A = np.zeros(n, complex)
@@ -469,17 +470,15 @@ class RationalFn:
             c[m] = acc / B[0]
         return c
 
-    def vanishing_order(self, center, tol=ORDER_TOL):
-        """Smallest Taylor index with |c_j| above tolerance at `center`.
+    def vanishing_order(self, center):
+        """Smallest Taylor index with |c_j| above ORDER_TOL at `center`.
 
         Returns INF for the zero function and a negative integer (minus the
         pole order) when `center` is a pole.
         """
         if self.num.is_zero:
             return INF
-        vn = self.num.valuation(center, tol)
-        vd = self.den.valuation(center, tol)
-        return vn - vd
+        return self.num.valuation(center) - self.den.valuation(center)
 
     def allclose(self, other, tol=1e-9):
         g = self._coerce(other)
@@ -500,12 +499,12 @@ def as_rational(x):
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational function")
 
 
-def taylor_coefficients(f, center, order, **kw):
-    return as_rational(f).taylor(center, order, **kw)
+def taylor_coefficients(f, center, order):
+    return as_rational(f).taylor(center, order)
 
 
-def vanishing_order(f, center, tol=ORDER_TOL):
-    return as_rational(f).vanishing_order(center, tol)
+def vanishing_order(f, center):
+    return as_rational(f).vanishing_order(center)
 
 
 def unit_circle_samples(n, offset=0.31):
@@ -519,13 +518,13 @@ class BlaschkeProduct:
 
     __slots__ = ("zeros", "const")
 
-    def __init__(self, zeros=(), const=1.0, *, margin=1e-6, circle_tol=CIRCLE_TOL):
+    def __init__(self, zeros=(), const=1.0):
         zs = tuple(complex(a) for a in zeros)
         for a in zs:
-            if abs(a) >= 1.0 - margin:
+            if abs(a) >= 1.0 - BOUNDARY_MARGIN:
                 raise BoundaryPole(f"Blaschke zero {a} too close to the unit circle")
         c = complex(const)
-        if abs(abs(c) - 1.0) > circle_tol:
+        if abs(abs(c) - 1.0) > CIRCLE_TOL:
             raise ValueError(f"constant {c} is not unimodular")
         self.zeros = zs
         self.const = c
@@ -545,7 +544,7 @@ class BlaschkeProduct:
         den = Poly.one()
         for a in self.zeros:
             den = den * Poly((1.0, -np.conj(a)))
-        return RationalFn(num, den)
+        return RationalFn(num, den, reduce=False)  # poles reflect the zeros: coprime
 
     def __repr__(self):
         return f"BlaschkeProduct(zeros={list(self.zeros)}, const={self.const})"
@@ -591,7 +590,7 @@ class Mat2RF:
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def inverse(self, *, const_tol=1e-9):
+    def inverse(self):
         """Inverse as adjugate over the (constant) determinant."""
         det = self.det()
         if det.is_constant():
@@ -599,7 +598,7 @@ class Mat2RF:
         else:
             vals = np.array([det(x) for x in _CHECK_POINTS[:8]])
             spread = float(np.max(np.abs(vals - vals.mean())))
-            if spread > const_tol * max(1.0, float(np.max(np.abs(vals)))):
+            if spread > 1e-9 * max(1.0, float(np.max(np.abs(vals)))):
                 raise NonConstantDeterminant("determinant is not constant")
             value = complex(vals.mean())
         if abs(value) < 1e-12:
@@ -611,7 +610,7 @@ class Mat2RF:
         return f"Mat2RF(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
 
-def krein_langer_factor(s, *, circle_tol=CIRCLE_TOL, boundary_margin=1e-6, samples=512):
+def krein_langer_factor(s, *, circle_tol=CIRCLE_TOL):
     """Split s = s0 / b with s0 analytic on the closed disk and b the Blaschke
     product over the poles of s inside the open disk (with multiplicity).
 
@@ -623,13 +622,13 @@ def krein_langer_factor(s, *, circle_tol=CIRCLE_TOL, boundary_margin=1e-6, sampl
     poles = s.poles()
     disk = []
     for p in poles:
-        if abs(abs(p) - 1.0) <= boundary_margin:
-            raise BoundaryPole(f"pole {p} lies on the unit circle within {boundary_margin}")
+        if abs(abs(p) - 1.0) <= BOUNDARY_MARGIN:
+            raise BoundaryPole(f"pole {p} lies on the unit circle within {BOUNDARY_MARGIN}")
         if abs(p) < 1.0:
             disk.append(complex(p))
-    b = BlaschkeProduct(disk, 1.0, margin=boundary_margin)
+    b = BlaschkeProduct(disk, 1.0)
     s0 = s * b.as_rational() if disk else s
-    w = unit_circle_samples(samples)
+    w = unit_circle_samples(CIRCLE_SAMPLES)
     sup = float(np.max(np.abs(s0(w))))
     if sup > 1.0 + max(circle_tol, 1e-9):
         raise NotGeneralizedSchur(f"analytic factor reaches modulus {sup:.6g} on the circle")
@@ -645,9 +644,10 @@ def cayley(z):
 
 
 def cayley_fn(s):
-    """Cayley transform of a rational function, (1 + s) / (1 - s)."""
+    """Cayley transform (1 + s) / (1 - s) as (den + num) / (den - num): a
+    common factor of that pair would divide den and num, so it is coprime."""
     s = as_rational(s)
-    bot = RationalFn.constant(1.0) - s
+    bot = s.den - s.num
     if bot.is_zero:
         raise DegenerateLFT("Cayley transform degenerate: s is identically 1")
-    return (RationalFn.constant(1.0) + s) / bot
+    return RationalFn(s.den + s.num, bot, reduce=False)

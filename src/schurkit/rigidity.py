@@ -38,7 +38,7 @@ from .rational import (
     cayley_fn,
     unit_circle_samples,
 )
-from .tolerances import CIRCLE_TOL, ORDER_TOL
+from .tolerances import CIRCLE_SAMPLES, CIRCLE_TOL
 
 __all__ = [
     "PathSpec",
@@ -140,7 +140,7 @@ def estimate_order_on_path(f, path, z1):
     return float(slope)
 
 
-def julia_quotient(s, z, x, *, modulus_tol=1e-12):
+def julia_quotient(s, z, x):
     """|s(z) - x|^2 / (1 - |s(z)|^2); requires |s(z)| < 1.
 
     Accepts a rational function, a scalar, or a plain callable.
@@ -150,12 +150,12 @@ def julia_quotient(s, z, x, *, modulus_tol=1e-12):
     else:
         value = complex(s(z))
     m = abs(value)
-    if m >= 1.0 - modulus_tol:
+    if m >= 1.0 - 1e-12:
         raise ModulusAtLeastOne(f"|s({z})| = {m:.12g}")
     return abs(value - complex(x)) ** 2 / (1.0 - m * m)
 
 
-def schur_circle_check(s, *, samples=512, circle_tol=CIRCLE_TOL):
+def schur_circle_check(s):
     """Largest modulus of a rational function on circle samples.
 
     By the maximum principle this decides the Schur property for functions
@@ -165,8 +165,8 @@ def schur_circle_check(s, *, samples=512, circle_tol=CIRCLE_TOL):
     for p in s.poles():
         if abs(p) < 1.0 + 1e-9 and abs(abs(p) - 1.0) > 1e-9:
             raise NotSchur(f"pole at {p} inside the disk")
-    sup = float(np.max(np.abs(s(unit_circle_samples(samples)))))
-    if sup > 1.0 + max(circle_tol, 1e-9):
+    sup = float(np.max(np.abs(s(unit_circle_samples(CIRCLE_SAMPLES)))))
+    if sup > 1.0 + CIRCLE_TOL:
         raise NotSchur(f"circle modulus reaches {sup:.6g}")
     return sup
 
@@ -265,10 +265,10 @@ def polar_grid(n_radii=40, n_angles=40, r_max=0.995):
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
-def horocycle_check(s, alpha, grid=None, *, margin=0.0):
+def horocycle_check(s, alpha):
     """Whether s maps the disk into the horocycle at 1 of size alpha/(1-alpha).
 
-    Checks |1 - s(z)|^2 / (1 - |s(z)|^2) < alpha/(1-alpha) on the grid;
+    Checks |1 - s(z)|^2 / (1 - |s(z)|^2) < alpha/(1-alpha) on polar_grid();
     returns (holds, witness) with the first violating point, if any. The
     horocycle is the disk of radius alpha centered at 1-alpha, internally
     tangent to the unit circle at 1.
@@ -276,10 +276,9 @@ def horocycle_check(s, alpha, grid=None, *, margin=0.0):
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     s = as_rational(s)
-    pts = polar_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
     bound = alpha / (1.0 - alpha)
-    for z in pts:
-        if julia_quotient(s, z, 1.0) >= bound - margin:
+    for z in polar_grid():
+        if julia_quotient(s, z, 1.0) >= bound:
             return False, complex(z)
     return True, None
 
@@ -288,7 +287,7 @@ def _affine_data(alpha):
     return InterpData(z1=1.0, k=1, tau0=1.0, tau=(alpha,), z0=-1.0)
 
 
-def affine_lft_bound(s, alpha, grid=None):
+def affine_lft_bound(s, alpha):
     """Pointwise inequality equivalent to |parameter| <= |1 - 2 alpha|.
 
     Pulls the parameter bound through the inverse transform of the
@@ -301,7 +300,7 @@ def affine_lft_bound(s, alpha, grid=None):
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     s = as_rational(s)
-    pts = polar_grid() if grid is None else np.asarray(grid, dtype=complex).ravel()
+    pts = polar_grid()
     a = alpha
     sv = s(pts)
     top = (2 * a + 1 - pts * (2 * a - 1)) * sv - (1 + pts)
@@ -344,7 +343,7 @@ class EquivalenceReport:
         return self.identity
 
 
-def affine_equivalences(s, alpha, *, grid=None, bound_tol=1e-9):
+def affine_equivalences(s, alpha):
     """Evaluate the equivalent characterizations of s = alpha z + 1 - alpha.
 
     Requires a Schur candidate matching the affine map to fourth order at 1
@@ -374,10 +373,10 @@ def affine_equivalences(s, alpha, *, grid=None, bound_tol=1e-9):
     if any(abs(p) <= 1.0 for p in s1.poles()):
         param_bound = False
     else:
-        sup = float(np.max(np.abs(s1(unit_circle_samples(512)))))
-        param_bound = sup <= abs(target) + bound_tol
-    lft_ok, _ = affine_lft_bound(s, alpha, grid=grid)
-    horo, witness = horocycle_check(s, alpha, grid=grid)
+        sup = float(np.max(np.abs(s1(unit_circle_samples(CIRCLE_SAMPLES)))))
+        param_bound = sup <= abs(target) + 1e-9
+    lft_ok, _ = affine_lft_bound(s, alpha)
+    horo, witness = horocycle_check(s, alpha)
     return EquivalenceReport(
         alpha=alpha,
         identity=identity,
@@ -390,7 +389,7 @@ def affine_equivalences(s, alpha, *, grid=None, bound_tol=1e-9):
     )
 
 
-def cayley_decomposition(s, alpha, *, order_tol=ORDER_TOL):
+def cayley_decomposition(s, alpha):
     """Half-plane picture of a candidate at derivative alpha.
 
     Writes f = C(s) = (1+s)/(1-s) as
@@ -412,7 +411,7 @@ def cayley_decomposition(s, alpha, *, order_tol=ORDER_TOL):
     r = _difference(f, model + shift)
     if not r.is_zero:
         r = RationalFn(r.num, r.den)
-        order = r.vanishing_order(1.0, tol=order_tol)
+        order = r.vanishing_order(1.0)
         if order < 2:
             raise VerificationError(
                 f"half-plane remainder vanishes only to order {order} at 1"
@@ -420,7 +419,7 @@ def cayley_decomposition(s, alpha, *, order_tol=ORDER_TOL):
     return f, f1, r
 
 
-def quartic_perturbation(alpha, beta, *, samples=512):
+def quartic_perturbation(alpha, beta):
     """The Schur function alpha z + 1 - alpha + beta (1 - z)^4.
 
     Matches the affine map to exactly fourth order at 1 whenever beta > 0,
@@ -433,5 +432,5 @@ def quartic_perturbation(alpha, beta, *, samples=512):
         raise ValueError("beta must be >= 0")
     p = Poly((1.0 - alpha, alpha)) + Poly((1.0, -1.0)) ** 4 * beta
     s = RationalFn(p, Poly.one(), reduce=False)
-    schur_circle_check(s, samples=samples)
+    schur_circle_check(s)
     return s

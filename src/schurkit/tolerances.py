@@ -1,8 +1,9 @@
-"""Default numeric tolerances.
+"""Numeric thresholds of the package.
 
-All comparisons in the package are tolerance-tagged; the constants below are
-the package-wide defaults and every public operation that depends on one
-accepts it as a keyword argument.
+Every threshold, margin and sample count the package decides with is a
+constant here or a literal at its one use. No public operation takes a threshold as an argument
+except `verify_expansion(order_tol)` and `krein_langer_factor(circle_tol)`,
+which the CLI's `--tol-order` and `--tol-circle` set.
 """
 
 # Relative cutoff for trailing polynomial coefficients (scaled by the largest
@@ -26,6 +27,17 @@ HERM_TOL = 1e-8
 
 # Threshold on |s1(z1) - tau0| below which a parameter is inadmissible.
 ADMIS_TOL = 1e-6
+
+# Distance from the unit circle below which a zero or pole counts as on it.
+BOUNDARY_MARGIN = 1e-6
+
+# Number of unit-circle samples on which a supremum modulus is taken.
+CIRCLE_SAMPLES = 512
+
+# Kernel guards: least distance from an evaluation point to a pole, and the
+# relative size below which 1 - z conj(w) counts as zero.
+POLE_CLEARANCE = 1e-9
+DIAG_TOL = 1e-12
 
 # Degree cap for rational functions; root finding by companion matrix is
 # reliable in double precision up to this size.

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,9 @@ P5 = {
     "parameter": {"num": [[-1, 0]], "den": [[1, 0]]},
 }
 RECIP = {"num": [[1, 0]], "den": [[0, 0], [1, 0]]}
+# The README's example problem.
+README_PROBLEM = dict(P5, z0=[-1, 0])
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 def run_cli(argv, capsys):
@@ -213,3 +217,53 @@ class TestDeterminism:
         assert json.loads(json.dumps(rep, sort_keys=True)) == rep
         assert rep["seed"] == 74010
         assert rep["tolerances"]["tol_root"] == 1e-8
+
+
+class TestInputTypes:
+    def test_boolean_k_exits_2(self, tmp_path, capsys):
+        bad = dict(P4, k=True)
+        code, rep = run_json(["solve", write(tmp_path, "p.json", bad)], capsys)
+        assert code == 2 and rep["status"] == "error"
+
+    def test_boolean_pair_exits_2(self, tmp_path, capsys):
+        bad = dict(P4, z1=[True, False])
+        code, rep = run_json(["solve", write(tmp_path, "p.json", bad)], capsys)
+        assert code == 2 and rep["status"] == "error"
+        assert "z1 must be a [re, im] pair" in rep["error"]
+
+
+class TestToleranceFlags:
+    def test_tol_order_sets_expansion_tolerance(self, tmp_path, capsys):
+        prob = write(tmp_path, "p.json", README_PROBLEM)
+        code, rep = run_json(["--tol-order", "1e-3", "solve", prob], capsys)
+        assert code == 0
+        assert rep["expansion"]["tolerance"] == 1e-3
+        assert rep["tolerances"]["tol_order"] == 1e-3
+
+    def test_tol_circle_admits_near_unimodular_constant(self, tmp_path, capsys):
+        f = write(tmp_path, "f.json", {"num": [[1.000001, 0]], "den": [[1, 0]]})
+        code, rep = run_json(["factor", f], capsys)
+        assert code == 1 and rep["status"] == "fail"
+        code, rep = run_json(["--tol-circle", "1e-5", "factor", f], capsys)
+        assert code == 0 and rep["status"] == "pass"
+
+    def test_tol_root_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--tol-root", "0.5", "demo", "inverse"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+
+class TestDemoReference:
+    @pytest.mark.parametrize(
+        "argv,reference",
+        [
+            (["demo", "burns-krantz"], "demo-burns-krantz.json"),
+            (["demo", "inverse"], "demo-inverse.json"),
+            (["demo", "alpha", "--alpha", "0.5"], "demo-alpha-0.5.json"),
+        ],
+    )
+    def test_demo_bytes_match_reference(self, argv, reference, capsys):
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert out.encode() == (REFERENCE / reference).read_bytes()

@@ -60,6 +60,15 @@ class TestDataValidation:
         with pytest.raises(InvalidProblemData, match=msg):
             InterpData(**kwargs)
 
+    def test_accepts_numpy_integer_k(self):
+        d = InterpData(z1=1.0, k=np.int64(2), tau0=1.0, tau=(1j, -1j), z0=-1.0)
+        assert type(d.k) is int and d.k == 2
+        assert np.array_equal(pick_matrix(d), pick_matrix(DK2))
+
+    def test_rejects_boolean_k(self):
+        with pytest.raises(InvalidProblemData, match="integer"):
+            InterpData(z1=1.0, k=True, tau0=1.0, tau=(1.0,))
+
 
 class TestStructuredMatrices:
     def test_toeplitz_k1(self):
