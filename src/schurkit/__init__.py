@@ -45,7 +45,6 @@ from .rational import (
     cayley,
     cayley_fn,
     krein_langer_factor,
-    taylor_coefficients,
     unit_circle_samples,
     vanishing_order,
 )

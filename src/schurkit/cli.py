@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,7 +51,7 @@ def _from_pair(v, what):
     if (
         not isinstance(v, (list, tuple))
         or len(v) != 2
-        or not all(type(x) in (int, float) and np.isfinite(x) for x in v)
+        or not all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in v)
     ):
         raise ValueError(f"{what} must be a [re, im] pair of finite numbers")
     return complex(v[0], v[1])
@@ -286,20 +287,30 @@ def _row(name, ok, detail=""):
     return {"check": name, "passed": bool(ok), "detail": detail}
 
 
-def _demo_burns_krantz(args):
-    data = interp.InterpData(z1=1.0, k=1, tau0=1.0, tau=(1.0,), z0=-1.0)
+def _fixed_derivative(alpha, pick_label, poly_label):
+    """Datum tau = (alpha,) at z1 = 1, its coefficient matrix, and the rows
+    checking the closed forms: Pick matrix alpha, polynomial 1/(2 alpha) and
+    entries over 2 alpha (1 - z)."""
+    data = interp.InterpData(z1=1.0, k=1, tau0=1.0, tau=(alpha,), z0=-1.0)
     cm = interp.coeff_matrix(data)
-    rows = []
-    rows.append(_row("pick matrix is 1", abs(cm.pick[0, 0] - 1.0) <= 1e-12))
-    rows.append(_row("polynomial is 1/2", cm.poly.allclose(Poly([0.5]), 1e-12)))
-    golden = {
-        "a": RationalFn(Poly([1, -3]), Poly([2, -2])),
-        "b": RationalFn(Poly([1, 1]), Poly([2, -2])),
-        "c": RationalFn(Poly([-1, -1]), Poly([2, -2])),
-        "d": RationalFn(Poly([3, -1]), Poly([2, -2])),
-    }
-    ok = all(getattr(cm.mat, k).allclose(golden[k], 1e-12) for k in golden)
-    rows.append(_row("coefficient matrix matches closed form", ok))
+    den = Poly([2 * alpha, -2 * alpha])
+    golden = (
+        RationalFn(Poly([2 * alpha - 1, -(2 * alpha + 1)]), den),
+        RationalFn(Poly([1, 1]), den),
+        RationalFn(Poly([-1, -1]), den),
+        RationalFn(Poly([2 * alpha + 1, -(2 * alpha - 1)]), den),
+    )
+    ok = all(e.allclose(g, 1e-12) for e, g in zip(cm.mat.entries(), golden))
+    rows = [
+        _row(pick_label, abs(cm.pick[0, 0] - alpha) <= 1e-12),
+        _row(poly_label, cm.poly.allclose(Poly([0.5 / alpha]), 1e-12)),
+        _row("coefficient matrix matches closed form", ok),
+    ]
+    return data, cm, rows
+
+
+def _demo_burns_krantz(args):
+    data, cm, rows = _fixed_derivative(1.0, "pick matrix is 1", "polynomial is 1/2")
     s = interp.solve(data, -1.0, theta=cm)
     rows.append(_row("parameter -1 solves to z", s.allclose(RationalFn.x(), 1e-12)))
     v = rig.rigidity_check(data, -1.0, RationalFn.x())
@@ -318,19 +329,7 @@ def _demo_burns_krantz(args):
 
 
 def _demo_inverse(args):
-    data = interp.InterpData(z1=1.0, k=1, tau0=1.0, tau=(-1.0,), z0=-1.0)
-    cm = interp.coeff_matrix(data)
-    rows = []
-    rows.append(_row("pick matrix is -1", abs(cm.pick[0, 0] + 1.0) <= 1e-12))
-    rows.append(_row("polynomial is -1/2", cm.poly.allclose(Poly([-0.5]), 1e-12)))
-    golden = {
-        "a": RationalFn(Poly([3, -1]), Poly([2, -2])),
-        "b": RationalFn(Poly([-1, -1]), Poly([2, -2])),
-        "c": RationalFn(Poly([1, 1]), Poly([2, -2])),
-        "d": RationalFn(Poly([1, -3]), Poly([2, -2])),
-    }
-    ok = all(getattr(cm.mat, k).allclose(golden[k], 1e-12) for k in golden)
-    rows.append(_row("coefficient matrix matches closed form", ok))
+    data, cm, rows = _fixed_derivative(-1.0, "pick matrix is -1", "polynomial is -1/2")
     recip = RationalFn([1], [0, 1])
     s = interp.solve(data, -1.0, theta=cm)
     rows.append(_row("parameter -1 solves to 1/z", s.allclose(recip, 1e-12)))
@@ -347,22 +346,7 @@ def _demo_alpha(args):
     alpha = args.alpha
     if not 0.0 < alpha < 1.0:
         raise ValueError("--alpha must lie in (0, 1)")
-    data = interp.InterpData(z1=1.0, k=1, tau0=1.0, tau=(alpha,), z0=-1.0)
-    cm = interp.coeff_matrix(data)
-    rows = []
-    rows.append(_row("pick matrix is alpha", abs(cm.pick[0, 0] - alpha) <= 1e-12))
-    rows.append(
-        _row("polynomial is 1/(2 alpha)", cm.poly.allclose(Poly([0.5 / alpha]), 1e-12))
-    )
-    den = Poly([2 * alpha, -2 * alpha])
-    golden = {
-        "a": RationalFn(Poly([2 * alpha - 1, -(2 * alpha + 1)]), den),
-        "b": RationalFn(Poly([1, 1]), den),
-        "c": RationalFn(Poly([-1, -1]), den),
-        "d": RationalFn(Poly([2 * alpha + 1, -(2 * alpha - 1)]), den),
-    }
-    ok = all(getattr(cm.mat, k).allclose(golden[k], 1e-12) for k in golden)
-    rows.append(_row("coefficient matrix matches closed form", ok))
+    data, cm, rows = _fixed_derivative(alpha, "pick matrix is alpha", "polynomial is 1/(2 alpha)")
     affine = RationalFn(Poly([1 - alpha, alpha]), Poly.one())
     s = interp.solve(data, 1 - 2 * alpha, theta=cm)
     rows.append(
@@ -481,6 +465,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, value in (("--tol-circle", args.tol_circle), ("--tol-order", args.tol_order)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{flag} must be a finite positive number, got {value}")
         return args.func(args)
     except (SchurkitError, ValueError) as exc:
         error = {"status": "error", "error": str(exc), "type": type(exc).__name__}

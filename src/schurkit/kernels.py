@@ -40,10 +40,6 @@ class Inertia:
     n_neg: int
     n_zero: int
 
-    @property
-    def size(self):
-        return self.n_pos + self.n_neg + self.n_zero
-
 
 @dataclass(frozen=True)
 class HermitianSample:
@@ -69,7 +65,6 @@ class SamplePlan:
     radius: float = 0.9
     pole_clearance: float = 0.05
     seed: int = 74010
-    stabilization_rounds: int = 3
     initial_points: int = 8
 
     def __post_init__(self):
@@ -207,11 +202,10 @@ def estimate_negative_squares(s, plan=SamplePlan()):
     negative directions of the kernel live), then draws seeded random points
     in a disk of the plan's radius (avoiding poles by the plan's clearance),
     doubling the nested point set each round; returns the largest negative
-    count once it has not changed for `stabilization_rounds` consecutive
-    rounds. This is a lower-bound estimator: sampling can only certify
-    negative squares it has seen, never exclude larger ones; with the pole
-    probes it is exact on the rank-structured rational functions targeted
-    here.
+    count once it has not changed for 3 consecutive rounds. This is a
+    lower-bound estimator: sampling can only certify negative squares it has
+    seen, never exclude larger ones; with the pole probes it is exact on the
+    rank-structured rational functions targeted here.
     """
     s = as_rational(s)
     if s.degree > MAX_DEGREE:
@@ -230,7 +224,7 @@ def estimate_negative_squares(s, plan=SamplePlan()):
             stable = 1
         else:
             stable += 1
-        if stable >= plan.stabilization_rounds:
+        if stable >= 3:
             return best
         if count >= plan.max_points:
             return best

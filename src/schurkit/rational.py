@@ -35,7 +35,6 @@ __all__ = [
     "BlaschkeProduct",
     "Mat2RF",
     "as_rational",
-    "taylor_coefficients",
     "vanishing_order",
     "krein_langer_factor",
     "cayley",
@@ -278,9 +277,10 @@ def _reduce_fraction(num, den):
     is the nullity of its Sylvester matrix. For a gcd of degree g the
     cofactors u = num / gcd and v = den / gcd solve num * v = den * u, i.e.
     they span the null space of [conv(num) | -conv(den)] with n-g+1 and m-g+1
-    columns. A candidate is accepted when that null vector's residual is
-    within _GCD_TOL of the largest singular value and the quotient u / v
-    still evaluates like the input; otherwise the next lower degree is tried.
+    columns. The candidate at the nullity is accepted when that null vector's
+    residual is within _GCD_TOL of the largest singular value and the
+    quotient u / v still evaluates like the input; otherwise the input is
+    returned unchanged.
     """
     num = _trim(num)
     den = _trim(den)
@@ -297,24 +297,25 @@ def _reduce_fraction(num, den):
     m, n = a.size - 1, b.size - 1
     sylvester = np.hstack([_convolution(a, n), _convolution(b, m)])
     sing = np.linalg.svd(sylvester, compute_uv=False)
-    nullity = int(np.sum(sing <= _GCD_TOL * sing[0]))
-    for g in range(min(nullity, m, n), 0, -1):
-        C = np.hstack([_convolution(a, n - g + 1), -_convolution(b, m - g + 1)])
-        _, sing, vh = np.linalg.svd(C, full_matrices=False)
-        if sing[-1] > _GCD_TOL * sing[0]:
-            continue
-        null = vh[-1].conj()
-        v, u = _trim(null[: n - g + 1]), _trim(null[n - g + 1 :])
-        u = u * (na / nb)
-        if u.size and v.size and _same_function(num, den, u, v):
-            return u, v
+    g = min(int(np.sum(sing <= _GCD_TOL * sing[0])), m, n)
+    if g == 0:
+        return num, den
+    C = np.hstack([_convolution(a, n - g + 1), -_convolution(b, m - g + 1)])
+    _, sing, vh = np.linalg.svd(C, full_matrices=False)
+    if sing[-1] > _GCD_TOL * sing[0]:
+        return num, den
+    null = vh[-1].conj()
+    v, u = _trim(null[: n - g + 1]), _trim(null[n - g + 1 :])
+    u = u * (na / nb)
+    if u.size and v.size and _same_function(num, den, u, v):
+        return u, v
     return num, den
 
 
 class RationalFn:
     """Reduced quotient of two complex polynomials with a monic denominator."""
 
-    __slots__ = ("num", "den", "_poles", "_zeros")
+    __slots__ = ("num", "den", "_poles")
 
     def __init__(self, num, den=1.0, *, reduce=True):
         pn = num if isinstance(num, Poly) else Poly(num)
@@ -336,7 +337,6 @@ class RationalFn:
                 f"degree {max(self.num.degree, self.den.degree)} exceeds cap {MAX_DEGREE}"
             )
         self._poles = None
-        self._zeros = None
 
     @classmethod
     def constant(cls, c):
@@ -370,11 +370,6 @@ class RationalFn:
             self._poles = self.den.roots()
         return self._poles
 
-    def zeros(self):
-        if self._zeros is None:
-            self._zeros = self.num.roots()
-        return self._zeros
-
     def _coerce(self, other):
         if isinstance(other, RationalFn):
             return other
@@ -404,24 +399,14 @@ class RationalFn:
         return (-self) + other
 
     def __neg__(self):
-        out = RationalFn.__new__(RationalFn)
-        out.num = -self.num
-        out.den = self.den
-        out._poles = self._poles
-        out._zeros = None
-        return out
+        return RationalFn(-self.num, self.den, reduce=False)
 
     def __mul__(self, other):
         if isinstance(other, numbers.Complex) and not isinstance(other, RationalFn):
             c = complex(other)
             if c == 0:
                 return RationalFn.constant(0.0)
-            out = RationalFn.__new__(RationalFn)
-            out.num = Poly(self.num.coeffs * c, trim=False)
-            out.den = self.den
-            out._poles = self._poles
-            out._zeros = self._zeros
-            return out
+            return RationalFn(Poly(self.num.coeffs * c, trim=False), self.den, reduce=False)
         g = self._coerce(other)
         if g is NotImplemented:
             return NotImplemented
@@ -499,18 +484,14 @@ def as_rational(x):
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational function")
 
 
-def taylor_coefficients(f, center, order):
-    return as_rational(f).taylor(center, order)
-
-
 def vanishing_order(f, center):
     return as_rational(f).vanishing_order(center)
 
 
-def unit_circle_samples(n, offset=0.31):
-    """n points on the unit circle; the offset avoids the common data points
-    1 and -1 landing exactly on a sample."""
-    return np.exp(1j * (offset + 2.0 * np.pi * np.arange(n) / n))
+def unit_circle_samples(n):
+    """n points on the unit circle; the offset 0.31 keeps the common data
+    points 1 and -1 off the samples."""
+    return np.exp(1j * (0.31 + 2.0 * np.pi * np.arange(n) / n))
 
 
 class BlaschkeProduct:
@@ -593,14 +574,9 @@ class Mat2RF:
     def inverse(self):
         """Inverse as adjugate over the (constant) determinant."""
         det = self.det()
-        if det.is_constant():
-            value = det.constant_value()
-        else:
-            vals = np.array([det(x) for x in _CHECK_POINTS[:8]])
-            spread = float(np.max(np.abs(vals - vals.mean())))
-            if spread > 1e-9 * max(1.0, float(np.max(np.abs(vals)))):
-                raise NonConstantDeterminant("determinant is not constant")
-            value = complex(vals.mean())
+        if not det.is_constant():
+            raise NonConstantDeterminant("determinant is not constant")
+        value = det.constant_value()
         if abs(value) < 1e-12:
             raise NonConstantDeterminant("determinant is numerically zero")
         inv = 1.0 / value
@@ -614,23 +590,37 @@ def krein_langer_factor(s, *, circle_tol=CIRCLE_TOL):
     """Split s = s0 / b with s0 analytic on the closed disk and b the Blaschke
     product over the poles of s inside the open disk (with multiplicity).
 
+    s0 = s * b is formed by exact division: each disk pole a (smallest
+    modulus first) is divided out of the denominator, and its reflection
+    1 - conj(a) z out of the numerator where s vanishes at 1 / conj(a), i.e.
+    the reversed numerator vanishes at conj(a) within ROOT_TOL of its
+    majorant; otherwise the reflection becomes a factor of the denominator.
+
     The order of b is the negative-squares index of s. Raises BoundaryPole if
     a pole sits numerically on the circle and NotGeneralizedSchur when the
-    analytic part exceeds modulus 1 on circle samples.
+    analytic part exceeds modulus 1 + circle_tol on circle samples.
     """
     s = as_rational(s)
-    poles = s.poles()
     disk = []
-    for p in poles:
+    for p in s.poles():
         if abs(abs(p) - 1.0) <= BOUNDARY_MARGIN:
             raise BoundaryPole(f"pole {p} lies on the unit circle within {BOUNDARY_MARGIN}")
         if abs(p) < 1.0:
             disk.append(complex(p))
+    num, den = s.num.coeffs, s.den.coeffs
+    for a in sorted(disk, key=abs):
+        den, _ = _deflate(den, a)
+        c = a.conjugate()
+        q, r = _deflate(num[::-1], c)
+        if abs(r) <= ROOT_TOL * _majorant(num[::-1], c):
+            num = q[::-1]
+        else:
+            den = npoly.polymul(den, (1.0, -c))
+    s0 = RationalFn(num, den, reduce=False)
     b = BlaschkeProduct(disk, 1.0)
-    s0 = s * b.as_rational() if disk else s
     w = unit_circle_samples(CIRCLE_SAMPLES)
     sup = float(np.max(np.abs(s0(w))))
-    if sup > 1.0 + max(circle_tol, 1e-9):
+    if sup > 1.0 + circle_tol:
         raise NotGeneralizedSchur(f"analytic factor reaches modulus {sup:.6g} on the circle")
     return s0, b
 

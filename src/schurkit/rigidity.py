@@ -180,8 +180,8 @@ class ContactReport:
     message: str
 
 
-def contact_order_probe(sigma, x, path=PathSpec()):
-    """Order of contact of a Schur function with a unimodular constant.
+def contact_order_probe(sigma, x):
+    """Order of contact of a Schur function with a unimodular constant at 1.
 
     A Schur function that agrees with a unimodular constant to second order
     at a boundary point is that constant; so for sigma not identically x the
@@ -193,7 +193,7 @@ def contact_order_probe(sigma, x, path=PathSpec()):
         raise ValueError("contact value must be unimodular")
     sigma = as_rational(sigma)
     schur_circle_check(sigma)
-    order = _difference(sigma, x).vanishing_order(path.z1)
+    order = _difference(sigma, x).vanishing_order(1.0)
     if order == INF:
         return ContactReport(order=INF, identical=True, message="sigma is identically x")
     if order >= 2:
@@ -337,10 +337,6 @@ class EquivalenceReport:
     def consistent(self):
         flags = (self.identity, self.parameter_const, self.parameter_bound, self.horocycle)
         return all(flags) or not any(flags)
-
-    @property
-    def all_hold(self):
-        return self.identity
 
 
 def affine_equivalences(s, alpha):

@@ -10,8 +10,9 @@ which the CLI's `--tol-order` and `--tol-circle` set.
 # coefficient magnitude of the polynomial being trimmed).
 TRIM_REL = 1e-12
 
-# Pole detection at a Taylor expansion point and vanishing of the Pick
-# polynomial at the node.
+# Pole detection at a Taylor expansion point, vanishing of the Pick
+# polynomial at the node, and the Krein-Langer test whether a disk pole's
+# reflection cancels against a zero of the numerator.
 ROOT_TOL = 1e-8
 
 # Unit-circle checks (unimodularity of data points, Blaschke modulus,

@@ -231,6 +231,12 @@ class TestInputTypes:
         assert code == 2 and rep["status"] == "error"
         assert "z1 must be a [re, im] pair" in rep["error"]
 
+    def test_huge_integer_exits_2(self, tmp_path, capsys):
+        bad = dict(P4, parameter={"num": [[10**320, 0]], "den": [[1, 0]]})
+        code, rep = run_json(["solve", write(tmp_path, "p.json", bad)], capsys)
+        assert code == 2 and rep["status"] == "error"
+        assert "parameter.num must be a [re, im] pair" in rep["error"]
+
 
 class TestToleranceFlags:
     def test_tol_order_sets_expansion_tolerance(self, tmp_path, capsys):
@@ -246,6 +252,27 @@ class TestToleranceFlags:
         assert code == 1 and rep["status"] == "fail"
         code, rep = run_json(["--tol-circle", "1e-5", "factor", f], capsys)
         assert code == 0 and rep["status"] == "pass"
+
+    def test_tol_circle_is_used_as_given(self, tmp_path, capsys):
+        f = write(tmp_path, "f.json", {"num": [[1.0000000005, 0]], "den": [[1, 0]]})
+        code, rep = run_json(["factor", f], capsys)
+        assert code == 0 and rep["status"] == "pass"
+        code, rep = run_json(["--tol-circle", "1e-12", "factor", f], capsys)
+        assert code == 1 and rep["status"] == "fail"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_invalid_tol_circle_exits_2(self, value, tmp_path, capsys):
+        f = write(tmp_path, "f.json", {"num": [[2, 0]], "den": [[0, 0], [1, 0]]})
+        code, rep = run_json([f"--tol-circle={value}", "factor", f], capsys)
+        assert code == 2 and rep["status"] == "error"
+        assert "--tol-circle" in rep["error"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_invalid_tol_order_exits_2(self, value, tmp_path, capsys):
+        prob = write(tmp_path, "p.json", README_PROBLEM)
+        code, rep = run_json([f"--tol-order={value}", "solve", prob], capsys)
+        assert code == 2 and rep["status"] == "error"
+        assert "--tol-order" in rep["error"]
 
     def test_tol_root_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -228,6 +228,21 @@ class TestKreinLanger:
         with pytest.raises(BoundaryPole):
             krein_langer_factor(fn([1], [-1.0000000001, 1]))
 
+    def test_inner_function_factors_exactly(self):
+        zeros = [0.18 + 0.81j, -0.52 + 0.49j, -0.33 + 0.59j, 0.39 + 0.16j]
+        zeros += [-0.7 + 0.47j, -0.74 + 0.25j, -0.15 + 0.63j, -0.27 + 0.24j]
+        s = BlaschkeProduct(zeros).as_rational() / BlaschkeProduct([-0.37 + 0.36j]).as_rational()
+        s0, b = krein_langer_factor(s)
+        assert b.order == 1
+        w = unit_circle_samples(512)
+        assert np.max(np.abs(s0(w) - s(w) * b(w))) <= 1e-9
+
+    def test_reflected_poles_cancel(self):
+        s = 1 / BlaschkeProduct([0.3 + 0.4j] * 3).as_rational()
+        s0, b = krein_langer_factor(s)
+        assert b.order == 3
+        assert (s0.num.degree, s0.den.degree) == (0, 0)
+
     def test_product_reconstructs(self, rng):
         for _ in range(10):
             b = random_blaschke(rng, 2, min_degree=1, radius=0.7)
