@@ -252,7 +252,16 @@ def coeff_matrix(data):
 
     The construction is validated: determinant 1 at interior samples and
     J-unitarity at circle samples away from z1.
+
+    The matrix is built once per InterpData instance: a build that passes
+    the checks is kept on the instance, and every later call on it returns
+    the same object, so its `pick` and `neutral` arrays are read-only. A
+    build that raises is not kept; `dataclasses.replace` makes a new
+    instance, which gets its own build.
     """
+    cm = getattr(data, "_coeff_matrix", None)
+    if cm is not None:
+        return cm
     P = pick_matrix(data)
     p = pick_polynomial(data, pick=P)
     # Coprime: p(z1) != 0 (checked) and z0 != z1.
@@ -276,7 +285,11 @@ def coeff_matrix(data):
         resid = np.max(np.abs(m @ J @ m.conj().T - J))
         if resid > CIRCLE_TOL * (1.0 + np.max(np.abs(m)) ** 2):
             raise VerificationError("coefficient matrix is not J-unitary on the circle")
-    return CoeffMatrix(data=data, theta=theta, poly=p, pick=P, mat=mat, neutral=u)
+    P.setflags(write=False)
+    u.setflags(write=False)
+    cm = CoeffMatrix(data=data, theta=theta, poly=p, pick=P, mat=mat, neutral=u)
+    object.__setattr__(data, "_coeff_matrix", cm)
+    return cm
 
 
 def admissible_parameter(s1, data):

@@ -601,6 +601,9 @@ def krein_langer_factor(s, *, circle_tol=CIRCLE_TOL):
     analytic part exceeds modulus 1 + circle_tol on circle samples.
     """
     s = as_rational(s)
+    if s.is_zero:
+        # No negative squares, whatever poles an unreduced denominator lists.
+        return RationalFn.constant(0.0), BlaschkeProduct([], 1.0)
     disk = []
     for p in s.poles():
         if abs(abs(p) - 1.0) <= BOUNDARY_MARGIN:

@@ -38,7 +38,7 @@ from .rational import (
     cayley_fn,
     unit_circle_samples,
 )
-from .tolerances import CIRCLE_SAMPLES, CIRCLE_TOL
+from .tolerances import CIRCLE_SAMPLES, CIRCLE_TOL, MODULUS_MARGIN
 
 __all__ = [
     "PathSpec",
@@ -150,7 +150,7 @@ def julia_quotient(s, z, x):
     else:
         value = complex(s(z))
     m = abs(value)
-    if m >= 1.0 - 1e-12:
+    if m >= 1.0 - MODULUS_MARGIN:
         raise ModulusAtLeastOne(f"|s({z})| = {m:.12g}")
     return abs(value - complex(x)) ** 2 / (1.0 - m * m)
 
@@ -268,19 +268,31 @@ def polar_grid(n_radii=40, n_angles=40, r_max=0.995):
 def horocycle_check(s, alpha):
     """Whether s maps the disk into the horocycle at 1 of size alpha/(1-alpha).
 
-    Checks |1 - s(z)|^2 / (1 - |s(z)|^2) < alpha/(1-alpha) on polar_grid();
-    returns (holds, witness) with the first violating point, if any. The
-    horocycle is the disk of radius alpha centered at 1-alpha, internally
-    tangent to the unit circle at 1.
+    Checks the Julia quotient |1 - s(z)|^2 / (1 - |s(z)|^2) < alpha/(1-alpha)
+    on polar_grid(), with s evaluated once over the whole grid; returns
+    (holds, witness) with the first violating point in grid order, if any.
+    Raises ModulusAtLeastOne, as julia_quotient does, when
+    |s| >= 1 - MODULUS_MARGIN at a grid point before the first violation.
+    Points where s is NaN are skipped. The horocycle is the disk of radius
+    alpha centered at 1-alpha, internally tangent to the unit circle at 1.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     s = as_rational(s)
     bound = alpha / (1.0 - alpha)
-    for z in polar_grid():
-        if julia_quotient(s, z, 1.0) >= bound:
-            return False, complex(z)
-    return True, None
+    pts = polar_grid()
+    values = s(pts)
+    m = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.abs(values - 1.0) ** 2 / (1.0 - m * m)
+    too_large = m >= 1.0 - MODULUS_MARGIN
+    hits = np.flatnonzero(too_large | (quotient >= bound))
+    if hits.size == 0:
+        return True, None
+    i = hits[0]
+    if too_large[i]:
+        raise ModulusAtLeastOne(f"|s({pts[i]})| = {m[i]:.12g}")
+    return False, complex(pts[i])
 
 
 def _affine_data(alpha):

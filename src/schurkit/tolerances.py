@@ -32,6 +32,10 @@ ADMIS_TOL = 1e-6
 # Distance from the unit circle below which a zero or pole counts as on it.
 BOUNDARY_MARGIN = 1e-6
 
+# Distance below 1 at which |s(z)| counts as reaching the circle, where the
+# Julia quotient |s(z) - x|^2 / (1 - |s(z)|^2) is undefined.
+MODULUS_MARGIN = 1e-12
+
 # Number of unit-circle samples on which a supremum modulus is taken.
 CIRCLE_SAMPLES = 512
 

@@ -1,13 +1,18 @@
 """Structured matrices, the coefficient matrix function, solve/recover."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_admissible_parameter, random_interp_data, unimodular
+from schurkit import interpolation
 from schurkit.errors import (
     InadmissibleParameter,
     InvalidProblemData,
     NonHermitianPick,
+    SingularPick,
 )
 from schurkit.interpolation import (
     J,
@@ -28,6 +33,7 @@ from schurkit.interpolation import (
 )
 from schurkit.kernels import SamplePlan, inertia
 from schurkit.rational import INF, Poly, RationalFn, unit_circle_samples
+from schurkit.rigidity import rigidity_check
 
 D4 = InterpData(z1=1.0, k=1, tau0=1.0, tau=(1.0,), z0=-1.0)
 D5 = InterpData(z1=1.0, k=1, tau0=1.0, tau=(-1.0,), z0=-1.0)
@@ -188,6 +194,85 @@ class TestCoeffMatrix:
             m = cm.eval(w)
             resid = np.max(np.abs(m @ J @ m.conj().T - J))
             assert resid <= 1e-9 * (1.0 + np.max(np.abs(m)) ** 2)
+
+
+class TestOneBuildPerDatum:
+    """coeff_matrix keeps its first successful build on the InterpData
+    instance; every later call on that instance returns it."""
+
+    @staticmethod
+    def fresh():
+        return InterpData(z1=1.0, k=1, tau0=1.0, tau=(1.0,), z0=-1.0)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        build = interpolation.pick_polynomial
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(interpolation, "pick_polynomial", counted)
+        return count
+
+    def test_request_builds_once(self, builds):
+        d = self.fresh()
+        coeff_matrix(d)
+        s = solve(d, RationalFn.constant(0.5))
+        recover_parameter(s, d)
+        rigidity_check(d, -1.0, s)
+        denominator_closed_form(RationalFn.constant(0.5), d)
+        solution_negative_squares(d, RationalFn.constant(0.5), PLAN)
+        assert builds[0] == 1
+
+    def test_same_object(self):
+        d = self.fresh()
+        assert coeff_matrix(d) is coeff_matrix(d)
+
+    def test_replace_builds_its_own(self, builds):
+        d = self.fresh()
+        cm = coeff_matrix(d)
+        other = replace(d, z0=1j)
+        cm_other = coeff_matrix(other)
+        assert cm_other is not cm and cm_other.data is other
+        assert builds[0] == 2
+        assert coeff_matrix(d) is cm
+
+    def test_identity_of_the_datum_unchanged(self):
+        d, copy = self.fresh(), self.fresh()
+        before = (hash(d), repr(d))
+        coeff_matrix(d)
+        assert d == copy and copy == d
+        assert (hash(d), repr(d)) == before == (hash(copy), repr(copy))
+
+    @pytest.mark.parametrize(
+        "tau,error",
+        [((1.0, 1.0), NonHermitianPick), ((1e-8j, 1.0 - 1e-8j), SingularPick)],
+    )
+    def test_failed_build_is_not_kept(self, monkeypatch, tau, error):
+        calls = []
+        build = interpolation.pick_matrix
+        monkeypatch.setattr(interpolation, "pick_matrix", lambda d: calls.append(d) or build(d))
+        d = InterpData(z1=1.0, k=2, tau0=1.0, tau=tau, z0=-1.0)
+        for _ in range(2):
+            with pytest.raises(error):
+                coeff_matrix(d)
+        assert len(calls) == 2
+
+    def test_shared_arrays_are_read_only(self):
+        cm = coeff_matrix(self.fresh())
+        for array in (cm.pick, cm.neutral):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_condition_warning_on_first_build_only(self):
+        d = InterpData(z1=1.0, k=2, tau0=1.0, tau=(1e-5j, 1.0 - 1e-5j), z0=-1.0)
+        with pytest.warns(UserWarning, match="condition number"):
+            cm = coeff_matrix(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert coeff_matrix(d) is cm
 
 
 class TestAdmissibility:

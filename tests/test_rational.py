@@ -243,6 +243,11 @@ class TestKreinLanger:
         assert b.order == 3
         assert (s0.num.degree, s0.den.degree) == (0, 0)
 
+    def test_unreduced_zero_has_no_negative_squares(self):
+        s = RationalFn(Poly.zero(), Poly([-0.5, 1]), reduce=False)
+        s0, b = krein_langer_factor(s)
+        assert s0.is_zero and b.order == 0
+
     def test_product_reconstructs(self, rng):
         for _ in range(10):
             b = random_blaschke(rng, 2, min_degree=1, radius=0.7)

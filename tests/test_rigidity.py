@@ -203,6 +203,58 @@ class TestHorocycle:
             assert holds
 
 
+def scalar_horocycle(s, alpha):
+    """Reference: one julia_quotient call per point of polar_grid()."""
+    bound = alpha / (1.0 - alpha)
+    for z in polar_grid():
+        if julia_quotient(s, z, 1.0) >= bound:
+            return False, complex(z)
+    return True, None
+
+
+def outcome(check, s, alpha):
+    with np.errstate(all="ignore"):
+        try:
+            return check(s, alpha)
+        except ModulusAtLeastOne as exc:
+            return type(exc), str(exc)
+
+
+def nan_at_first_grid_point():
+    """0.5 everywhere, left as 0/0 (NaN) at the first grid point."""
+    p = complex(polar_grid()[0])
+    return RationalFn(Poly([-0.5 * p, 0.5]), Poly([-p, 1.0]), reduce=False)
+
+
+class TestHorocycleMatchesScalarLoop:
+    @pytest.mark.parametrize(
+        "s,alpha,expected",
+        [
+            (affine(0.5), 0.5, "holds"),
+            (quartic_half(), 0.5, "witness"),
+            (RationalFn.x(), 0.5, "witness"),
+            # s = 3z: the quotient crosses 1 in the first ring, before |s| >= 1 ...
+            (RationalFn(Poly([0.0, 3.0]), Poly.one()), 0.5, "witness"),
+            # ... but stays below 99 until |s| passes 1 at the start of ring 14.
+            (RationalFn(Poly([0.0, 3.0]), Poly.one()), 0.99, "modulus"),
+            (nan_at_first_grid_point(), 0.5, "holds"),
+            (nan_at_first_grid_point(), 0.2, "witness"),
+        ],
+    )
+    def test_same_verdict_witness_and_error(self, s, alpha, expected):
+        got = outcome(horocycle_check, s, alpha)
+        assert got == outcome(scalar_horocycle, s, alpha)
+        if expected == "modulus":
+            assert got[0] is ModulusAtLeastOne
+        else:
+            assert got[0] is (expected == "holds")
+            assert (got[1] is None) == (expected == "holds")
+
+    def test_nan_point_is_skipped(self):
+        _, witness = outcome(horocycle_check, nan_at_first_grid_point(), 0.2)
+        assert witness == complex(polar_grid()[1])
+
+
 class TestEquivalences:
     def test_affine_all_true(self):
         rep = affine_equivalences(affine(0.3), 0.3)

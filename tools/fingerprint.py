@@ -1,0 +1,127 @@
+"""Fingerprint the library's answers on the benchmark's decks.
+
+    python3 tools/fingerprint.py --seeds 1 2 3 --cycles 0 1 2 [--workloads interp negsq]
+
+Run from the root of a source checkout: the library is imported from ./src
+and the decks from ./bench/workloads.py, which is only imported, never
+changed. Every op of each deck (seed, cycle) is run once, in deck order, and
+its full result goes into one SHA-256 per workload: coefficient bytes of
+every rational function and array, every report field, and the type and
+message of every exception. Numbers are hashed by value (float.hex), not by
+Python type. Two checkouts whose digests agree gave bit-identical answers.
+"""
+
+import os
+
+# The benchmark's BLAS setting, so both checkouts run the same kernels.
+# Must precede the numpy import.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import numbers  # noqa: E402
+import sys  # noqa: E402
+import warnings  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path.cwd()
+
+
+def feed(h, value):
+    """Add a canonical encoding of one result to the hash."""
+    import schurkit as sk
+
+    if isinstance(value, BaseException):
+        h.update(f"E {type(value).__name__}: {value}\n".encode())
+    elif isinstance(value, sk.RationalFn):
+        h.update(b"R\n")
+        feed(h, value.num)
+        feed(h, value.den)
+    elif isinstance(value, sk.Poly):
+        feed(h, value.coeffs)
+    elif isinstance(value, sk.BlaschkeProduct):
+        h.update(b"B\n")
+        feed(h, np.array(value.zeros, dtype=complex))
+        feed(h, value.const)
+    elif isinstance(value, np.ndarray):
+        h.update(f"A {value.dtype} {value.shape}\n".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif dataclasses.is_dataclass(value):
+        h.update(f"D {type(value).__name__}\n".encode())
+        for f in dataclasses.fields(value):
+            h.update(f"{f.name}=".encode())
+            feed(h, getattr(value, f.name))
+    elif isinstance(value, dict):
+        h.update(f"M {len(value)}\n".encode())
+        for key, item in value.items():
+            h.update(f"{key}=".encode())
+            feed(h, item)
+    elif isinstance(value, (list, tuple)):
+        h.update(f"L {len(value)}\n".encode())
+        for item in value:
+            feed(h, item)
+    elif isinstance(value, (bool, np.bool_)):
+        h.update(f"b {bool(value)}\n".encode())
+    elif isinstance(value, numbers.Integral):
+        h.update(f"i {int(value)}\n".encode())
+    elif isinstance(value, numbers.Complex):
+        z = complex(value)
+        h.update(f"c {z.real.hex()} {z.imag.hex()}\n".encode())
+    elif value is None or isinstance(value, str):
+        h.update(f"s {value!r}\n".encode())
+    else:
+        raise TypeError(f"no encoding for {type(value).__name__}")
+
+
+def digest(workloads, workload, seeds, cycles):
+    """(number of ops, SHA-256 hex digest) over the decks of seeds x cycles."""
+    h = hashlib.sha256()
+    n = 0
+    for seed in seeds:
+        for cycle in cycles:
+            rng = np.random.default_rng([seed, cycle])
+            if workload == "interp":
+                deck, _ = workloads.interp_deck(rng)
+            else:
+                deck, _ = workloads.negsq_deck(rng, cycle)
+            for op in deck:
+                try:
+                    result = op.run()
+                except Exception as exc:  # noqa: BLE001 - an op's outcome
+                    result = exc
+                h.update(f"op {op.label}\n".encode())
+                feed(h, result)
+                n += 1
+    return n, h.hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--cycles", type=int, nargs="+", required=True)
+    parser.add_argument(
+        "--workloads", nargs="+", choices=("interp", "negsq"), default=["interp", "negsq"]
+    )
+    args = parser.parse_args()
+    if not (ROOT / "src" / "schurkit" / "__init__.py").is_file():
+        print(f"fingerprint: no schurkit sources under {ROOT / 'src'}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "bench"))
+    warnings.simplefilter("ignore")
+    import workloads
+
+    for workload in args.workloads:
+        n, hexdigest = digest(workloads, workload, args.seeds, args.cycles)
+        seeds = ",".join(map(str, args.seeds))
+        cycles = ",".join(map(str, args.cycles))
+        print(f"{workload} seeds={seeds} cycles={cycles} ops={n} sha256={hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
