@@ -5,6 +5,15 @@ functions keep a reduced numerator/denominator pair with a monic denominator.
 Reduction solves for the cofactors of the greatest common divisor in the null
 space of a Sylvester-type matrix and keeps them only if the quotient still
 evaluates like the input; no roots are computed.
+
+The scalar recurrences (evaluation at a number, synthetic division, Taylor
+shift, power-series division) run on Python complex multiply and add, which
+round like numpy's scalar complex arithmetic, in the order of operations of
+numpy.polynomial; every division stays a numpy division, and scalar values
+come back as np.complex128. Products are np.convolve and sums a padded add,
+on the operands numpy.polynomial would use. Arrays of points are evaluated
+by numpy.polynomial, whose array loop may round differently in the last bits
+from the scalar recurrence.
 """
 
 from __future__ import annotations
@@ -45,41 +54,73 @@ __all__ = [
 INF = math.inf
 
 
-def _trim(coeffs, rel=TRIM_REL):
-    a = np.asarray(coeffs, dtype=complex).ravel()
+def _kept(a, cut):
+    """Length of `a` without its trailing coefficients of modulus at or below
+    `cut` (none is dropped when `cut` is NaN). The modulus is numpy's scalar
+    abs, which can differ in the last bit from its array abs."""
+    k = a.size
+    while k and abs(a[k - 1]) <= cut:
+        k -= 1
+    return k
+
+
+def _trim(a):
+    """`a` without the trailing coefficients at or below TRIM_REL times its
+    largest magnitude; argmax finds a NaN magnitude first, if there is one."""
     if a.size == 0:
         return a
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return a[:0]
-    cut = rel * scale
-    k = a.size
-    while k > 0 and abs(a[k - 1]) <= cut:
-        k -= 1
-    return a[:k].copy()
+    mag = np.abs(a)
+    return a[: _kept(a, TRIM_REL * mag[mag.argmax()])]
 
 
-def _require_finite(a):
-    if a.size and not np.all(np.isfinite(a.view(float))):
-        raise ValueError("non-finite coefficient")
+def _series(a):
+    """Nonempty `a` without trailing exact zeros (one kept), as
+    numpy.polynomial trims its arguments and its results."""
+    if a[-1] != 0:
+        return a
+    nz = a.nonzero()[0]
+    return a[: nz[-1] + 1] if nz.size else a[:1]
+
+
+def _mul(a, b):
+    """Product of two nonempty coefficient arrays, as npoly.polymul forms it."""
+    return _series(np.convolve(_series(a), _series(b)))
+
+
+def _horner(c, z, zero):
+    """Horner's rule over the list `c` of ascending coefficients at z, in
+    npoly.polyval's order: c[-1] + zero, where zero is the caller's z * 0,
+    then c[i] + acc * z."""
+    acc = c[-1] + zero
+    for ci in c[-2::-1]:
+        acc = ci + acc * z
+    return acc
+
+
+def _value(a, z):
+    """Nonempty coefficient array `a` at the scalar z, as np.complex128."""
+    return np.complex128(_horner(a.tolist(), complex(z), complex(z * 0)))
 
 
 def _majorant(a, x):
     """Upper bound sum |a_j| |x|^j used to scale remainder/guard thresholds."""
     if a.size == 0:
         return 0.0
-    return float(npoly.polyval(abs(x), np.abs(a)))
+    r = float(abs(x))
+    return _horner(np.abs(a).tolist(), r, r * 0)
 
 
 def _deflate(a, c):
     """Synthetic division of ascending coeffs `a` by (z - c) -> (quotient, a(c))."""
     n = a.size - 1
-    q = np.zeros(n, dtype=complex)
-    b = a[n]
+    coeffs = a.tolist()
+    c = complex(c)
+    q = [0j] * n
+    b = coeffs[n]
     for j in range(n - 1, -1, -1):
         q[j] = b
-        b = a[j] + c * b
-    return q, b
+        b = coeffs[j] + c * b
+    return np.array(q, dtype=complex), np.complex128(b)
 
 
 class Poly:
@@ -96,9 +137,17 @@ class Poly:
         if isinstance(coeffs, Poly):
             a = coeffs.coeffs.copy()
         else:
-            a = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
-        _require_finite(a)
-        self.coeffs = _trim(a) if trim else a
+            a = np.asarray(coeffs, dtype=complex).ravel()
+        mag = np.abs(a)
+        scale = mag[mag.argmax()] if a.size else 0.0
+        # A NaN or infinite coefficient makes the largest magnitude non-finite
+        # (argmax finds a NaN first); so can a finite coefficient whose
+        # modulus overflows, which is let through.
+        if not scale < INF and not np.isfinite(a.view(float)).all():
+            raise ValueError("non-finite coefficient")
+        if trim:
+            a = a[: _kept(a, TRIM_REL * scale)].copy()
+        self.coeffs = a
 
     @classmethod
     def zero(cls):
@@ -120,7 +169,7 @@ class Poly:
     def from_roots(cls, roots, leading=1.0):
         p = np.array([complex(leading)])
         for r in roots:
-            p = npoly.polymul(p, np.array([-complex(r), 1.0]))
+            p = _mul(p, np.array([-complex(r), 1.0]))
         return cls(p)
 
     @property
@@ -132,8 +181,14 @@ class Poly:
         return self.coeffs.size == 0
 
     def __call__(self, z):
+        """Value at a number (np.complex128; 0j for the zero polynomial), or
+        values at each point of a list, tuple or array."""
+        if isinstance(z, (int, float, complex)):
+            return _value(self.coeffs, z) if self.coeffs.size else 0j
         if self.coeffs.size == 0:
-            return np.zeros_like(np.asarray(z, dtype=complex)) if isinstance(z, np.ndarray) else 0j
+            if isinstance(z, (list, tuple, np.ndarray)):
+                return np.zeros(np.shape(z), dtype=complex)
+            return 0j
         return npoly.polyval(z, self.coeffs)
 
     def _coerce(self, other):
@@ -151,7 +206,12 @@ class Poly:
             return Poly(q.coeffs)
         if q.is_zero:
             return Poly(self.coeffs)
-        return Poly(npoly.polyadd(self.coeffs, q.coeffs))
+        a, b = _series(self.coeffs), _series(q.coeffs)
+        if a.size <= b.size:
+            a, b = b, a
+        out = a.copy()
+        out[: b.size] += b
+        return Poly(out)
 
     __radd__ = __add__
 
@@ -173,7 +233,7 @@ class Poly:
             return NotImplemented
         if self.is_zero or q.is_zero:
             return Poly.zero()
-        return Poly(npoly.polymul(self.coeffs, q.coeffs))
+        return Poly(_mul(self.coeffs, q.coeffs))
 
     __rmul__ = __mul__
 
@@ -198,13 +258,13 @@ class Poly:
 
     def shifted(self, center):
         """Coefficients of the polynomial in powers of (z - center)."""
-        n = self.coeffs.size
-        b = self.coeffs.astype(complex).copy()
+        b = self.coeffs.tolist()
+        n = len(b)
         c = complex(center)
         for i in range(n):
             for j in range(n - 2, i - 1, -1):
                 b[j] = b[j] + c * b[j + 1]
-        return b
+        return np.array(b, dtype=complex)
 
     def roots(self):
         if self.degree < 1:
@@ -250,12 +310,12 @@ _VERIFY_TOL = 1e-7
 def _same_function(num0, den0, num1, den1):
     used = 0
     for x in _CHECK_POINTS:
-        d0 = npoly.polyval(x, den0)
-        d1 = npoly.polyval(x, den1)
+        d0 = _value(den0, x)
+        d1 = _value(den1, x)
         if abs(d0) < 1e-6 * _majorant(den0, x) or abs(d1) < 1e-6 * _majorant(den1, x):
             continue
-        f0 = npoly.polyval(x, num0) / d0
-        f1 = npoly.polyval(x, num1) / d1
+        f0 = _value(num0, x) / d0
+        f1 = _value(num1, x) / d1
         if abs(f0 - f1) > _VERIFY_TOL * (1.0 + max(abs(f0), abs(f1))):
             return False
         used += 1
@@ -443,17 +503,16 @@ class RationalFn:
         if abs(b[0]) <= ROOT_TOL * float(np.max(np.abs(b))):
             raise PoleAtExpansionPoint(f"denominator vanishes at {center}")
         a = self.num.shifted(center)
-        A = np.zeros(n, complex)
-        B = np.zeros(n, complex)
-        A[: min(n, a.size)] = a[: min(n, a.size)]
-        B[: min(n, b.size)] = b[: min(n, b.size)]
-        c = np.zeros(n, complex)
+        A = a[:n].tolist() + [0j] * (n - a.size)
+        B = b[:n].tolist() + [0j] * (n - b.size)
+        b0 = b[0]
+        c = []
         for m in range(n):
             acc = A[m]
             for i in range(1, m + 1):
-                acc -= B[i] * c[m - i]
-            c[m] = acc / B[0]
-        return c
+                acc = acc - B[i] * c[m - i]
+            c.append(complex(np.complex128(acc) / b0))
+        return np.array(c, dtype=complex)
 
     def vanishing_order(self, center):
         """Smallest Taylor index with |c_j| above ORDER_TOL at `center`.
@@ -534,13 +593,17 @@ class BlaschkeProduct:
 class Mat2RF:
     """2x2 matrix of rational functions acting by linear-fractional transform."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("a", "b", "c", "d", "_den")
 
     def __init__(self, a, b, c, d):
         self.a = as_rational(a)
         self.b = as_rational(b)
         self.c = as_rational(c)
         self.d = as_rational(d)
+        # The denominator all four entries share, bit for bit, if they do.
+        den = self.a.den.coeffs.tobytes()
+        same = all(e.den.coeffs.tobytes() == den for e in (self.b, self.c, self.d))
+        self._den = self.a.den if same else None
 
     @classmethod
     def identity(cls):
@@ -555,9 +618,12 @@ class Mat2RF:
         return (self.a, self.b, self.c, self.d)
 
     def eval(self, z):
-        return np.array(
-            [[self.a(z), self.b(z)], [self.c(z), self.d(z)]], dtype=complex
-        )
+        if self._den is None:
+            values = [e(z) for e in self.entries()]
+        else:
+            den = self._den(z)
+            values = [e.num(z) / den for e in self.entries()]
+        return np.array(values, dtype=complex).reshape(2, 2)
 
     def apply(self, s):
         """(a*s + b) / (c*s + d), fully reduced."""
@@ -618,7 +684,7 @@ def krein_langer_factor(s, *, circle_tol=CIRCLE_TOL):
         if abs(r) <= ROOT_TOL * _majorant(num[::-1], c):
             num = q[::-1]
         else:
-            den = npoly.polymul(den, (1.0, -c))
+            den = _mul(den, np.array((1.0, -c)))
     s0 = RationalFn(num, den, reduce=False)
     b = BlaschkeProduct(disk, 1.0)
     w = unit_circle_samples(CIRCLE_SAMPLES)

@@ -3,7 +3,10 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_blaschke, random_schur_fn, unimodular
 from schurkit.errors import (
@@ -21,12 +24,15 @@ from schurkit.rational import (
     Mat2RF,
     Poly,
     RationalFn,
+    _deflate,
+    _majorant,
     cayley,
     cayley_fn,
     krein_langer_factor,
     unit_circle_samples,
     vanishing_order,
 )
+from schurkit.tolerances import ROOT_TOL, TRIM_REL
 
 
 def fn(num, den=(1.0,)):
@@ -283,3 +289,207 @@ def test_degree_cap():
     big = Poly([0.0] * (tol.MAX_DEGREE + 1) + [1.0])
     with pytest.raises(Exception):
         RationalFn(big * big, Poly.one())
+
+
+# Reference implementations of the scalar kernels as numpy.polynomial and
+# numpy scalars compute them; the core in rational.py must match them bit
+# for bit.
+
+
+def ref_poly_coeffs(a, trim=True):
+    a = np.atleast_1d(np.asarray(a, dtype=complex)).ravel()
+    if a.size and not np.all(np.isfinite(a.view(float))):
+        raise ValueError("non-finite coefficient")
+    if not trim or a.size == 0:
+        return a
+    scale = float(np.max(np.abs(a)))
+    if scale == 0.0:
+        return a[:0]
+    k = a.size
+    while k > 0 and abs(a[k - 1]) <= TRIM_REL * scale:
+        k -= 1
+    return a[:k].copy()
+
+
+def ref_call(a, z):
+    return npoly.polyval(z, a) if a.size else 0j
+
+
+def ref_deflate(a, c):
+    n = a.size - 1
+    q = np.zeros(n, dtype=complex)
+    b = a[n]
+    for j in range(n - 1, -1, -1):
+        q[j] = b
+        b = a[j] + c * b
+    return q, b
+
+
+def ref_shifted(a, center):
+    n = a.size
+    b = a.astype(complex).copy()
+    c = complex(center)
+    for i in range(n):
+        for j in range(n - 2, i - 1, -1):
+            b[j] = b[j] + c * b[j + 1]
+    return b
+
+
+def ref_taylor(num, den, center, order):
+    n = order + 1
+    a, b = ref_shifted(num, center), ref_shifted(den, center)
+    A = np.zeros(n, complex)
+    B = np.zeros(n, complex)
+    A[: min(n, a.size)] = a[: min(n, a.size)]
+    B[: min(n, b.size)] = b[: min(n, b.size)]
+    c = np.zeros(n, complex)
+    for m in range(n):
+        acc = A[m]
+        for i in range(1, m + 1):
+            acc -= B[i] * c[m - i]
+        c[m] = acc / B[0]
+    return c
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+_reals = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+_complex = st.builds(complex, _reals, _reals)
+_coeffs = st.lists(_complex, min_size=1, max_size=25)  # degrees 0..24
+_unimodular = st.floats(0.0, 2.0 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+_centres = st.one_of(_complex.map(lambda z: z / 1e3), _unimodular)
+_scalars = st.one_of(
+    _complex,
+    _reals,
+    _complex.map(np.complex128),
+    _reals.map(np.float64),
+    st.integers(-5, 5),
+)
+_bitwise = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+class TestScalarCoreBitwise:
+    @_bitwise
+    @given(_coeffs, st.booleans())
+    def test_construction(self, c, trim):
+        assert same_bits(Poly(c, trim=trim).coeffs, ref_poly_coeffs(c, trim))
+
+    @_bitwise
+    @given(_coeffs, st.one_of(_scalars, _centres))
+    def test_scalar_call(self, c, z):
+        p = Poly(c, trim=False)
+        got = p(z)
+        assert same_bits(got, ref_call(p.coeffs, z))
+        assert type(got) is (np.complex128 if p.coeffs.size else complex)
+
+    @_bitwise
+    @given(_coeffs, _centres)
+    def test_deflate(self, c, centre):
+        a = np.array(c, dtype=complex)
+        q, r = _deflate(a, centre)
+        q0, r0 = ref_deflate(a, centre)
+        assert same_bits(q, q0) and same_bits(r, r0) and type(r) is np.complex128
+
+    @_bitwise
+    @given(_coeffs, _centres)
+    def test_shifted(self, c, centre):
+        p = Poly(c, trim=False)
+        assert same_bits(p.shifted(centre), ref_shifted(p.coeffs, centre))
+
+    @_bitwise
+    @given(_coeffs, _coeffs, _centres, st.integers(0, 16))
+    def test_taylor(self, num, den, centre, order):
+        if Poly(num).is_zero or Poly(den).is_zero:
+            return
+        f = RationalFn(Poly(num), Poly(den), reduce=False)
+        b = ref_shifted(f.den.coeffs, centre)
+        if abs(b[0]) <= ROOT_TOL * float(np.max(np.abs(b))):
+            return  # a pole at the centre: taylor raises
+        ref = ref_taylor(f.num.coeffs, f.den.coeffs, centre, order)
+        assert same_bits(f.taylor(centre, order), ref)
+
+    @_bitwise
+    @given(_coeffs, _coeffs, st.booleans(), st.booleans())
+    # An exact trailing zero of an untrimmed operand: numpy.polynomial drops
+    # it, which keeps the sign of a zero in the sum and, by changing which
+    # operand is longer, the order of the convolution's sums.
+    @example([1, 0j], [2, complex(-0.0, -0.0), 3], False, True)
+    @example([1, 1 - 1j, -1], [-1e-300, 1, -1 - 1j, 0j], True, False)
+    def test_add_and_mul(self, c1, c2, trim1, trim2):
+        p, q = Poly(c1, trim=trim1), Poly(c2, trim=trim2)
+        if p.is_zero or q.is_zero:
+            return
+        assert same_bits((p + q).coeffs, ref_poly_coeffs(npoly.polyadd(p.coeffs, q.coeffs)))
+        assert same_bits((p * q).coeffs, ref_poly_coeffs(npoly.polymul(p.coeffs, q.coeffs)))
+
+    @_bitwise
+    @given(_coeffs, _scalars)
+    def test_majorant(self, c, x):
+        a = np.array(c, dtype=complex)
+        ref = float(npoly.polyval(abs(x), np.abs(a)))
+        assert same_bits(_majorant(a, x), ref)
+
+    @_bitwise
+    @given(st.lists(_complex.map(lambda z: z / 1e3), max_size=8), _complex)
+    def test_from_roots(self, roots, leading):
+        p = np.array([complex(leading)])
+        for r in roots:
+            p = npoly.polymul(p, np.array([-complex(r), 1.0]))
+        assert same_bits(Poly.from_roots(roots, leading).coeffs, ref_poly_coeffs(p))
+
+    @_bitwise
+    @given(st.lists(_coeffs, min_size=5, max_size=5), _scalars)
+    def test_shared_denominator_eval(self, c, z):
+        den = Poly(c[4])
+        if den.is_zero:
+            return
+        m = Mat2RF(*(RationalFn(Poly(n), den, reduce=False) for n in c[:4]))
+        with np.errstate(all="ignore"):  # z may be a root of den
+            entries = [[m.a(z), m.b(z)], [m.c(z), m.d(z)]]
+            assert same_bits(m.eval(z), np.array(entries, dtype=complex))
+
+
+class TestScalarCoreContract:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_raises_value_error(self):
+        for trim in (True, False):
+            with pytest.raises(ValueError, match="non-finite"):
+                Poly([1e200], trim=trim) * Poly([1e200], trim=trim)
+            with pytest.raises(ValueError, match="non-finite"):
+                Poly([1e308], trim=trim) + Poly([1e308], trim=trim)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, math.inf)]
+    )
+    def test_non_finite_coefficient_raises(self, bad):
+        for trim in (True, False):
+            with pytest.raises(ValueError, match="non-finite"):
+                Poly([1.0, bad, 2.0], trim=trim)
+            with pytest.raises(ValueError, match="non-finite"):
+                Poly([bad], trim=trim)
+
+    def test_pole_value_is_inf_or_nan(self):
+        cases = (([1], [0, 1], 0.0), ([1], [-0.5, 1], 0.5 + 0j), ([0, 1], [0, 1], np.float64(0.0)))
+        with np.errstate(all="ignore"):
+            for num, den, z in cases:
+                value = RationalFn(Poly(num), Poly(den), reduce=False)(z)
+                assert type(value) is np.complex128 and not np.isfinite(value)
+
+    def test_sequences_and_arrays_evaluate_pointwise(self):
+        p = Poly([1, 2])
+        for z in ([0.1, 0.2], (0.1, 0.2), np.array([0.1, 0.2])):
+            assert same_bits(p(z), npoly.polyval(np.asarray(z), p.coeffs))
+        assert same_bits(p(np.array(0.3)), npoly.polyval(np.array(0.3), p.coeffs))
+
+    def test_zero_polynomial_values(self):
+        zero = Poly.zero()
+        assert zero(0.5) == 0j and type(zero(0.5)) is complex
+        for z in ([1, 2], (1, 2), np.array([1.0, 2.0])):
+            assert same_bits(zero(z), np.zeros(2, dtype=complex))
+        assert same_bits(zero(np.ones((2, 3))), np.zeros((2, 3), dtype=complex))
