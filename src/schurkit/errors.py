@@ -66,11 +66,6 @@ class SingularPick(SchurkitError):
     """The structured Pick matrix is numerically singular."""
 
 
-class PolynomialVanishesAtNode(SchurkitError):
-    """Numerical breakdown: the interpolation polynomial vanishes at z1,
-    contradicting its defining property."""
-
-
 class InadmissibleParameter(SchurkitError):
     """Parameter violates the boundary separation condition at z1."""
 

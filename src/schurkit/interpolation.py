@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +25,6 @@ from .errors import (
     InvalidProblemData,
     NonHermitianPick,
     PoleAtExpansionPoint,
-    PolynomialVanishesAtNode,
     SingularPick,
     VerificationError,
 )
@@ -38,8 +36,6 @@ from .tolerances import (
     HERM_TOL,
     MAX_CONTACT_ORDER,
     ORDER_TOL,
-    PICK_COND_WARN,
-    ROOT_TOL,
 )
 
 __all__ = [
@@ -152,8 +148,9 @@ def pick_matrix(data):
 
     Raises NonHermitianPick when the data are incompatible with a Hermitian
     matrix (the parametrization covers only the Hermitian case) and
-    SingularPick when numerically singular. A warning is emitted when the
-    condition number exceeds PICK_COND_WARN, since the matrix is inverted.
+    SingularPick when numerically singular. The matrix is not inverted: it
+    is checked, and its inertia counts the negative squares the
+    parametrization adds.
     """
     P = np.conj(data.tau0) * toeplitz_matrix(data) @ binomial_matrix(data)
     scale = float(np.max(np.abs(P)))
@@ -162,8 +159,6 @@ def pick_matrix(data):
     cond = float(np.linalg.cond(P))
     if not np.isfinite(cond) or cond > 1e14:
         raise SingularPick("Pick matrix is numerically singular")
-    if cond > PICK_COND_WARN:
-        warnings.warn(f"Pick matrix condition number {cond:.3g}", stacklevel=2)
     return P
 
 
@@ -172,33 +167,24 @@ def _node_factor(data, power):
     return Poly((1.0, -np.conj(data.z1))) ** power
 
 
-def _row_values(data, z):
-    """Row vector (1/(1-z conj(z1)), ..., z^{k-1}/(1-z conj(z1))^k) at z."""
-    base = 1.0 - z * np.conj(data.z1)
-    return np.array([z**j / base ** (j + 1) for j in range(data.k)], dtype=complex)
-
-
-def pick_polynomial(data, *, pick=None):
+def pick_polynomial(data):
     """Polynomial p of degree <= k-1 with p(z1) != 0 that generates the
     coefficient matrix.
 
-    Each row entry is cleared of its denominator exactly, as the polynomial
-    z^{j-1} (1 - z conj(z1))^{k-j}, before the inverse Pick matrix and the
-    row at z0 are applied; no rational intermediate can cancel at z1.
+    The contact condition fixes (1 - conj(z0) z) p modulo (z - z1)^k as
+    -tau0 (-conj(z1))^k / tau, where tau = sum tau_{k+i} (z - z1)^i. So p is
+    that constant over tau (1 - conj(z0) z), expanded to k terms in powers
+    of t = z - z1 and shifted once to powers of z. Its value at z1, the first
+    term, is nonzero because tau_k is and z0 != z1. The Pick matrix is not
+    used; coeff_matrix checks it first. Raises PoleAtExpansionPoint when
+    |tau_k (1 - conj(z0) z1)| is at most ROOT_TOL times the largest
+    coefficient of tau (1 - conj(z0) z) in powers of t.
     """
-    P = pick_matrix(data) if pick is None else pick
-    k = data.k
-    rhs = np.conj(_row_values(data, data.z0))
-    weights = np.linalg.solve(P, rhs)
-    p = Poly.zero()
-    for j in range(k):
-        entry = Poly([0.0] * j + [1.0]) * _node_factor(data, k - 1 - j)
-        p = p + entry * weights[j]
-    pz1 = p(data.z1)
-    scale = float(np.max(np.abs(p.coeffs), initial=0.0))
-    if abs(pz1) <= ROOT_TOL * max(scale, 1e-300):
-        raise PolynomialVanishesAtNode("interpolation polynomial vanishes at z1")
-    return p
+    k, c0 = data.k, data.z0.conjugate()
+    node = Poly((1.0 - c0 * data.z1, -c0))  # 1 - conj(z0) z in powers of t
+    const = Poly.constant(-data.tau0 * (-data.z1.conjugate()) ** k)
+    series = RationalFn(const, Poly(data.tau) * node, reduce=False).taylor(0.0, k - 1)
+    return Poly(Poly(series).shifted(-data.z1))
 
 
 @dataclass(frozen=True)
@@ -263,8 +249,8 @@ def coeff_matrix(data):
     if cm is not None:
         return cm
     P = pick_matrix(data)
-    p = pick_polynomial(data, pick=P)
-    # Coprime: p(z1) != 0 (checked) and z0 != z1.
+    p = pick_polynomial(data)
+    # Coprime: p(z1) != 0 and z0 != z1.
     weight = Poly((1.0, -np.conj(data.z0))) * p
     theta = RationalFn(weight, _node_factor(data, data.k), reduce=False)
     # Entries 1 -+ theta and +-tau0 theta, all over the denominator of theta.

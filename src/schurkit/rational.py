@@ -141,9 +141,9 @@ class Poly:
         mag = np.abs(a)
         scale = mag[mag.argmax()] if a.size else 0.0
         # A NaN or infinite coefficient makes the largest magnitude non-finite
-        # (argmax finds a NaN first); so can a finite coefficient whose
-        # modulus overflows, which is let through.
-        if not scale < INF and not np.isfinite(a.view(float)).all():
+        # (argmax finds a NaN first); so does a finite coefficient whose
+        # modulus overflows, which no trim cut or scale could handle.
+        if not scale < INF:
             raise ValueError("non-finite coefficient")
         if trim:
             a = a[: _kept(a, TRIM_REL * scale)].copy()

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .interpolation import (
     InterpData,
+    _node_contact,
     coeff_matrix,
     recover_parameter,
     solve,
@@ -214,9 +215,11 @@ class RigidityVerdict:
 def rigidity_check(data, x, s):
     """Compare a verified solution against the distinguished solution T(x).
 
-    forced_identity holds when s - T(x) vanishes at z1 to order at least
-    2k+2, in which case s must equal T(x) identically (checked). Otherwise
-    the verdict reports the recovered parameter's deviation order from x.
+    The observed order is the number of leading Taylor coefficients of s at
+    z1 that match those of T(x), within verify_expansion's tolerance.
+    forced_identity holds when it reaches 2k+2, in which case s must equal
+    T(x) identically (checked) and the order is INF. Otherwise the verdict
+    reports the recovered parameter's deviation order from x.
     """
     x = complex(x)
     if abs(abs(x) - 1.0) > CIRCLE_TOL:
@@ -230,14 +233,15 @@ def rigidity_check(data, x, s):
     cm = coeff_matrix(data)
     b = solve(data, x, theta=cm)
     required = 2 * data.k + 2
-    observed = _difference(s, b).vanishing_order(data.z1)
+    observed = _node_contact(s, data.z1, b.taylor(data.z1, required - 1))
     forced = observed >= required
     notes = []
     if forced:
-        if observed != INF:
+        if not _difference(s, b).is_zero:
             raise VerificationError(
-                f"difference vanishes to order {observed} >= {required} but is not zero"
+                f"s matches T(x) to order {observed} >= {required} but is not T(x)"
             )
+        observed = INF
         notes.append("s coincides with the distinguished solution")
     else:
         s1 = recover_parameter(s, data, theta=cm)

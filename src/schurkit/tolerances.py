@@ -10,9 +10,8 @@ which the CLI's `--tol-order` and `--tol-circle` set.
 # coefficient magnitude of the polynomial being trimmed).
 TRIM_REL = 1e-12
 
-# Pole detection at a Taylor expansion point, vanishing of the Pick
-# polynomial at the node, and the Krein-Langer test whether a disk pole's
-# reflection cancels against a zero of the numerator.
+# Pole detection at a Taylor expansion point, and the Krein-Langer test
+# whether a disk pole's reflection cancels against a zero of the numerator.
 ROOT_TOL = 1e-8
 
 # Unit-circle checks (unimodularity of data points, Blaschke modulus,
@@ -48,8 +47,7 @@ DIAG_TOL = 1e-12
 # reliable in double precision up to this size.
 MAX_DEGREE = 64
 
-# Interpolation order cap; the Pick matrix is inverted, so k is kept small.
+# Interpolation order cap. A double-precision solution's Taylor coefficients
+# at the node carry an error of about eps * R^(-2k), R the distance from z1
+# to the nearest pole, so k is kept small.
 MAX_CONTACT_ORDER = 8
-
-# Condition number of the Pick matrix above which a warning is emitted.
-PICK_COND_WARN = 1e8

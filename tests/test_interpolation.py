@@ -1,6 +1,5 @@
 """Structured matrices, the coefficient matrix function, solve/recover."""
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -130,6 +129,44 @@ class TestPolynomial:
             p = pick_polynomial(data)
             assert p.degree <= k - 1
             assert abs(p(data.z1)) > 1e-10
+
+    @staticmethod
+    def pick_inverse_polynomial(data):
+        """Reference: p = sum_j w_j z^j (1 - conj(z1) z)^(k-1-j), with w the
+        solution of P w = conj(r) and r_j = z0^j / (1 - conj(z1) z0)^(j+1)."""
+        k = data.k
+        base = 1.0 - data.z0 * np.conj(data.z1)
+        row = np.array([data.z0**j / base ** (j + 1) for j in range(k)], dtype=complex)
+        weights = np.linalg.solve(pick_matrix(data), np.conj(row))
+        node = Poly((1.0, -np.conj(data.z1)))
+        p = Poly.zero()
+        for j in range(k):
+            p = p + Poly([0.0] * j + [1.0]) * node ** (k - 1 - j) * weights[j]
+        return p
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_pick_inverse(self, k):
+        rng = np.random.default_rng(61300 + k)
+        for _ in range(20):
+            data = random_interp_data(rng, k)
+            mine, ref = pick_polynomial(data).coeffs, self.pick_inverse_polynomial(data).coeffs
+            n = max(mine.size, ref.size)
+            gap = np.abs(np.pad(mine, (0, n - mine.size)) - np.pad(ref, (0, n - ref.size)))
+            assert np.max(gap) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_contact_identity(self, k):
+        # (1 - conj(z0) z) p tau + tau0 (-conj(z1))^k = O(t^k), t = z - z1,
+        # with tau = sum tau_{k+i} t^i.
+        rng = np.random.default_rng(61400 + k)
+        for _ in range(20):
+            data = random_interp_data(rng, k)
+            w = (Poly((1.0, -np.conj(data.z0))) * pick_polynomial(data)).shifted(data.z1)
+            const = data.tau0 * (-np.conj(data.z1)) ** k
+            lhs = np.convolve(w, np.asarray(data.tau))[:k]
+            lhs[0] += const
+            scale = max(abs(const), np.max(np.abs(w)) * np.max(np.abs(data.tau)))
+            assert np.max(np.abs(lhs)) <= 1e-12 * scale
 
 
 class TestCoeffMatrix:
@@ -265,14 +302,6 @@ class TestOneBuildPerDatum:
         for array in (cm.pick, cm.neutral):
             with pytest.raises(ValueError):
                 array[0] = 0.0
-
-    def test_condition_warning_on_first_build_only(self):
-        d = InterpData(z1=1.0, k=2, tau0=1.0, tau=(1e-5j, 1.0 - 1e-5j), z0=-1.0)
-        with pytest.warns(UserWarning, match="condition number"):
-            cm = coeff_matrix(d)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert coeff_matrix(d) is cm
 
 
 class TestAdmissibility:

@@ -464,6 +464,12 @@ class TestScalarCoreContract:
             with pytest.raises(ValueError, match="non-finite"):
                 Poly([1e308], trim=trim) + Poly([1e308], trim=trim)
 
+    def test_overflowing_modulus_raises(self):
+        # Finite parts whose modulus overflows: no trim cut can be formed.
+        for trim in (True, False):
+            with pytest.raises(ValueError, match="non-finite"):
+                Poly([1.0, 1.5e308 + 1.5e308j], trim=trim)
+
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, math.inf)]
     )

@@ -181,6 +181,47 @@ class TestRigidityCheck:
                 identical = (s1 - (-1.0)).is_zero
                 assert v.forced_identity == identical
 
+    def test_contact_order_of_an_ill_conditioned_solution(self):
+        # A k = 4 solution for a parameter other than x, so its contact with
+        # T(x) at z1 is exactly 2k = 8. The valuation of the unreduced
+        # difference s - T(x), cut at 1e-7 of its largest coefficient, reads
+        # 3 here; the Taylor coefficients match through index 7 and differ
+        # at index 8 at the expansion tolerance.
+        def c(re, im):
+            return complex(float.fromhex(re), float.fromhex(im))
+
+        data = InterpData(
+            z1=c("-0x1.1c1c6ed1bfcf3p-3", "0x1.fb0ca30b895e9p-1"),
+            k=4,
+            tau0=c("-0x1.f606b3426b403p-1", "0x1.92449c1b945f6p-3"),
+            tau=(
+                c("0x1.b45c5f304fafbp-2", "0x1.d0488a5afb42bp-2"),
+                c("-0x1.2d981332ba064p+2", "-0x1.189bc81f4d474p+1"),
+                c("0x1.ee272936bef10p+1", "-0x1.8c6485b209638p+3"),
+                c("0x1.e19a77f292464p+0", "-0x1.6d14f42d210ddp+2"),
+            ),
+            z0=c("-0x1.e2025746aec64p-1", "-0x1.59517d2c23f2ap-2"),
+        )
+        num = [
+            c("-0x1.ea20f387c5635p-1", "-0x1.2817f051a3ccap-2"),
+            c("-0x1.8c4f62f658c38p-6", "-0x1.dc01a5c445f82p+1"),
+            c("0x1.52d79acbcd0abp+2", "-0x1.4fff5b0083826p+1"),
+            c("0x1.420227cd2e1cap+2", "0x1.8dc0ea4239e85p+1"),
+            c("-0x1.7e56b83ecbf38p-2", "0x1.da46c706934c8p+1"),
+            c("-0x1.f69bde8cd7774p-1", "0x1.94ca67af809d0p-3"),
+        ]
+        den = [
+            c("0x1.c3e086a9e3a47p-1", "0x1.e4697dc88d033p-2"),
+            c("-0x1.6d8d62e781efcp-1", "0x1.d3d602aa0a7b1p+1"),
+            c("-0x1.6dc25175edf00p+2", "0x1.8515d861961e7p+0"),
+            c("-0x1.13ca50375c446p+2", "-0x1.02ccbf8b2bdb4p+2"),
+            c("0x1.1934bb41c9e20p+0", "-0x1.c6c705bb69946p+1"),
+            c("0x1.0000000000000p+0", "0x0.0p+0"),
+        ]
+        s = RationalFn(Poly(num), Poly(den), reduce=False)
+        v = rigidity_check(data, -data.tau0, s)
+        assert not v.forced_identity and v.observed_order == 8 and v.required_order == 10
+
 
 class TestHorocycle:
     def test_affine_map_contained(self):

@@ -22,7 +22,6 @@ EXPECTED = {
     "rational.BlaschkeProduct.__init__": ["zeros", "const"],
     "rational.krein_langer_factor": ["circle_tol"],
     "interpolation.InterpData.__init__": ["z0"],
-    "interpolation.pick_polynomial": ["pick"],
     "interpolation.solve": ["theta", "verify"],
     "interpolation.verify_expansion": ["order_tol"],
     "interpolation.recover_parameter": ["theta"],

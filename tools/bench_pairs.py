@@ -15,7 +15,9 @@ change read better (ties count for neither side). `gain` marks a metric on
 which the change won at least nine pairs in ten and the medians differ by
 more than the parent's IQR; `bound` marks one whose change median is worse
 than the parent's by more than the bound in the parent's BENCHMARK.json.
-`failed` and `correct` are listed per pair.
+`failed` and `correct` are listed per pair, and a last line counts the
+pairs on which the change failed fewer, more or as many ops as the parent,
+with each side's total of failed ops.
 """
 
 import argparse
@@ -65,6 +67,12 @@ def report(workload, metrics, results):
     for seed, p, c in results:
         print(f"    {seed}: {p['failed']}/{p['attempted']} -> {c['failed']}/{c['attempted']}, "
               f"{p['correct']} -> {c['correct']}")
+    old = [p["failed"] for _, p, _ in results]
+    new = [c["failed"] for _, _, c in results]
+    fewer = sum(n < o for o, n in zip(old, new))
+    more = sum(n > o for o, n in zip(old, new))
+    print(f"  failed: change fewer on {fewer}, more on {more}, equal on {len(results) - fewer - more}"
+          f" of {len(results)} pairs; total {sum(old)} -> {sum(new)}")
 
 
 def main():
