@@ -183,7 +183,13 @@ def pick_polynomial(data):
     k, c0 = data.k, data.z0.conjugate()
     node = Poly((1.0 - c0 * data.z1, -c0))  # 1 - conj(z0) z in powers of t
     const = Poly.constant(-data.tau0 * (-data.z1.conjugate()) ** k)
-    series = RationalFn(const, Poly(data.tau) * node, reduce=False).taylor(0.0, k - 1)
+    try:
+        series = RationalFn(const, Poly(data.tau) * node, reduce=False).taylor(0.0, k - 1)
+    except PoleAtExpansionPoint:
+        lead = data.tau[0] * (1.0 - c0 * data.z1)
+        raise PoleAtExpansionPoint(
+            f"tau_k (1 - conj(z0) z1) = {lead:.3g} vanishes at z1 = {data.z1}"
+        ) from None
     return Poly(Poly(series).shifted(-data.z1))
 
 

@@ -102,19 +102,29 @@ def gram_matrix(s, points):
     pts = np.asarray(points, dtype=complex).ravel()
     if np.any(_pole_distance(s, pts) <= POLE_CLEARANCE):
         raise PoleProximity("sample point too close to a pole")
-    denom = 1.0 - np.outer(pts, np.conj(pts))
-    if np.min(np.abs(denom)) <= DIAG_TOL * (1.0 + np.max(np.abs(pts)) ** 2):
+    # Every n x n pass runs in place in denom, raw and one magnitude buffer;
+    # herm is the only other n x n array, and it is returned.
+    denom = np.outer(pts, pts.conj())
+    np.subtract(1.0, denom, out=denom)
+    mag = np.abs(denom)
+    dmin = float(mag.min())
+    if dmin <= DIAG_TOL * (1.0 + np.max(np.abs(pts)) ** 2):
         raise DiagonalSingularity("points z, w with z*conj(w) = 1 in the sample")
     sv = s(pts)
-    raw = (1.0 - np.outer(sv, np.conj(sv))) / denom
-    herm = 0.5 * (raw + raw.conj().T)
-    scale = float(np.max(np.abs(raw), initial=0.0))
+    raw = np.outer(sv, sv.conj())
+    np.subtract(1.0, raw, out=raw)
+    raw /= denom
+    adj = np.conjugate(raw.T, out=denom)  # raw* in denom's buffer
+    herm = raw + adj
+    herm *= 0.5
+    scale = float(np.abs(raw, out=mag).max(initial=0.0))
     # A kernel that vanishes identically (s a unimodular constant) samples as
     # rounding noise; below the noise bound the matrix is numerically zero
     # and carries no asymmetry information.
     noise = 256.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(sv))) ** 2)
-    noise /= float(np.min(np.abs(denom)))
-    asym = float(np.max(np.abs(raw - raw.conj().T), initial=0.0))
+    noise /= dmin
+    np.subtract(raw, adj, out=adj)
+    asym = float(np.abs(adj, out=mag).max(initial=0.0))
     asym = 0.0 if scale <= noise else asym / scale
     return HermitianSample(points=pts, entries=herm, asymmetry=asym, noise=noise)
 
@@ -171,27 +181,38 @@ def _pole_probes(poles, clearance):
             probes.append(p * np.exp(1j * spin * phi))
             probes.append(p * np.exp(-1j * spin * phi))
             probes.append(p * (1.0 - phi))
-    return [
-        z
-        for z in probes
-        if abs(z) < 1.0 and (poles.size == 0 or np.min(np.abs(z - poles)) >= 0.99 * clearance)
-    ]
+    z = np.array(probes, dtype=complex)
+    keep = np.abs(z) < 1.0
+    if poles.size:
+        keep &= np.abs(z[:, None] - poles).min(axis=1) >= 0.99 * clearance
+    return z[keep].tolist()
 
 
 def _draw_points(rng, count, radius, clearance, poles, existing):
+    """`existing` extended to `count` seeded points in the disk of `radius`,
+    none within `clearance` of a pole.
+
+    Each pass draws exactly the candidates still missing, as one array of
+    radius and angle pairs, and drops those too close to a pole; so the
+    seeded stream is used exactly as a loop drawing one point at a time would
+    use it, and a seed gives the same points. Raises NoAnalyticPoints after
+    2000 * count candidates.
+    """
     out = list(existing)
     attempts = 0
     limit = 2000 * count
     while len(out) < count:
-        attempts += 1
-        if attempts > limit:
+        m = min(count - len(out), limit - attempts)
+        if m == 0:
             raise NoAnalyticPoints(
                 "pole clearance leaves too little of the sampling disk"
             )
-        z = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        if poles.size and np.min(np.abs(z - poles)) <= clearance:
-            continue
-        out.append(z)
+        attempts += m
+        u = rng.uniform(size=2 * m)
+        z = radius * np.sqrt(u[0::2]) * np.exp(2j * np.pi * u[1::2])
+        if poles.size:
+            z = z[np.abs(z[:, None] - poles).min(axis=1) > clearance]
+        out += z.tolist()
     return out
 
 

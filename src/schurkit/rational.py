@@ -553,6 +553,11 @@ def unit_circle_samples(n):
     return np.exp(1j * (0.31 + 2.0 * np.pi * np.arange(n) / n))
 
 
+# The samples of every circle-supremum check, computed once; read-only.
+_CIRCLE = unit_circle_samples(CIRCLE_SAMPLES)
+_CIRCLE.flags.writeable = False
+
+
 class BlaschkeProduct:
     """Finite Blaschke product: const * prod (z - a_i) / (1 - conj(a_i) z)."""
 
@@ -687,8 +692,7 @@ def krein_langer_factor(s, *, circle_tol=CIRCLE_TOL):
             den = _mul(den, np.array((1.0, -c)))
     s0 = RationalFn(num, den, reduce=False)
     b = BlaschkeProduct(disk, 1.0)
-    w = unit_circle_samples(CIRCLE_SAMPLES)
-    sup = float(np.max(np.abs(s0(w))))
+    sup = float(np.max(np.abs(s0(_CIRCLE))))
     if sup > 1.0 + circle_tol:
         raise NotGeneralizedSchur(f"analytic factor reaches modulus {sup:.6g} on the circle")
     return s0, b

@@ -32,14 +32,14 @@ from .interpolation import (
 )
 from .kernels import inertia
 from .rational import (
+    _CIRCLE,
     INF,
     Poly,
     RationalFn,
     as_rational,
     cayley_fn,
-    unit_circle_samples,
 )
-from .tolerances import CIRCLE_SAMPLES, CIRCLE_TOL, MODULUS_MARGIN
+from .tolerances import CIRCLE_TOL, MODULUS_MARGIN
 
 __all__ = [
     "PathSpec",
@@ -166,7 +166,7 @@ def schur_circle_check(s):
     for p in s.poles():
         if abs(p) < 1.0 + 1e-9 and abs(abs(p) - 1.0) > 1e-9:
             raise NotSchur(f"pole at {p} inside the disk")
-    sup = float(np.max(np.abs(s(unit_circle_samples(CIRCLE_SAMPLES)))))
+    sup = float(np.max(np.abs(s(_CIRCLE))))
     if sup > 1.0 + CIRCLE_TOL:
         raise NotSchur(f"circle modulus reaches {sup:.6g}")
     return sup
@@ -385,7 +385,7 @@ def affine_equivalences(s, alpha):
     if any(abs(p) <= 1.0 for p in s1.poles()):
         param_bound = False
     else:
-        sup = float(np.max(np.abs(s1(unit_circle_samples(CIRCLE_SAMPLES)))))
+        sup = float(np.max(np.abs(s1(_CIRCLE))))
         param_bound = sup <= abs(target) + 1e-9
     lft_ok, _ = affine_lft_bound(s, alpha)
     horo, witness = horocycle_check(s, alpha)

@@ -11,6 +11,7 @@ from schurkit.errors import (
     InadmissibleParameter,
     InvalidProblemData,
     NonHermitianPick,
+    PoleAtExpansionPoint,
     SingularPick,
 )
 from schurkit.interpolation import (
@@ -129,6 +130,15 @@ class TestPolynomial:
             p = pick_polynomial(data)
             assert p.degree <= k - 1
             assert abs(p(data.z1)) > 1e-10
+
+    def test_vanishing_node_value_names_z1(self):
+        # tau_k (1 - conj(z0) z1) = 2e-8j is below ROOT_TOL of the series
+        # denominator's scale: the error names z1 and that quantity, not the
+        # series variable t = 0.
+        data = InterpData(z1=1, k=2, tau0=1, tau=(1e-8j, 1 - 1e-8j), z0=-1)
+        with pytest.raises(PoleAtExpansionPoint) as err:
+            pick_polynomial(data)
+        assert str(err.value) == "tau_k (1 - conj(z0) z1) = 0+2e-08j vanishes at z1 = (1+0j)"
 
     @staticmethod
     def pick_inverse_polynomial(data):

@@ -1,19 +1,33 @@
 """Kernel evaluation, Gram inertia, and the negative-squares estimator."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_blaschke
-from schurkit.errors import DiagonalSingularity, NotHermitian, PoleProximity
+from schurkit.errors import (
+    DiagonalSingularity,
+    NoAnalyticPoints,
+    NotHermitian,
+    PoleProximity,
+)
 from schurkit.kernels import (
+    HermitianSample,
     SamplePlan,
+    _draw_points,
+    _pole_distance,
+    _pole_probes,
     estimate_negative_squares,
     gram_matrix,
     hermitian_eigenvalues,
     inertia,
     schur_kernel,
 )
-from schurkit.rational import BlaschkeProduct, Poly, RationalFn
+from schurkit.rational import BlaschkeProduct, Poly, RationalFn, as_rational
+from schurkit.tolerances import DIAG_TOL, POLE_CLEARANCE
 
 Z = RationalFn.x()
 RECIP = RationalFn([1], [0, 1])
@@ -88,7 +102,7 @@ class TestInertia:
         with pytest.raises(NotHermitian):
             inertia(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_jacobi_matches_lapack(self, rng):
+    def test_hermitian_eigenvalues_match_lapack(self, rng):
         for n in (2, 5, 9, 16):
             b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             h = b + b.conj().T
@@ -166,3 +180,190 @@ class TestEstimator:
 
         with pytest.raises(NoAnalyticPoints):
             estimate_negative_squares(RECIP, SamplePlan(pole_clearance=5.0))
+
+
+# Reference copies of the one-point-at-a-time sampler and the allocating Gram
+# build; the array versions in kernels.py must match them bit for bit and
+# consume the seeded stream exactly as they do.
+
+
+def ref_pole_probes(poles, clearance):
+    probes = []
+    for occurrence, p in enumerate(p for p in poles if abs(p) < 1.0):
+        spin = 1.0 + 0.37 * occurrence
+        if abs(p) <= clearance:
+            for angle in (0.2, 2.3, 4.1):
+                probes.append(p + clearance * np.exp(1j * spin * angle))
+        else:
+            phi = clearance / abs(p)
+            probes.append(p * np.exp(1j * spin * phi))
+            probes.append(p * np.exp(-1j * spin * phi))
+            probes.append(p * (1.0 - phi))
+    return [
+        z
+        for z in probes
+        if abs(z) < 1.0 and (poles.size == 0 or np.min(np.abs(z - poles)) >= 0.99 * clearance)
+    ]
+
+
+def ref_draw_points(rng, count, radius, clearance, poles, existing):
+    out = list(existing)
+    attempts = 0
+    limit = 2000 * count
+    while len(out) < count:
+        attempts += 1
+        if attempts > limit:
+            raise NoAnalyticPoints(
+                "pole clearance leaves too little of the sampling disk"
+            )
+        z = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        if poles.size and np.min(np.abs(z - poles)) <= clearance:
+            continue
+        out.append(z)
+    return out
+
+
+def ref_gram_matrix(s, points):
+    s = as_rational(s)
+    pts = np.asarray(points, dtype=complex).ravel()
+    if np.any(_pole_distance(s, pts) <= POLE_CLEARANCE):
+        raise PoleProximity("sample point too close to a pole")
+    denom = 1.0 - np.outer(pts, np.conj(pts))
+    if np.min(np.abs(denom)) <= DIAG_TOL * (1.0 + np.max(np.abs(pts)) ** 2):
+        raise DiagonalSingularity("points z, w with z*conj(w) = 1 in the sample")
+    sv = s(pts)
+    raw = (1.0 - np.outer(sv, np.conj(sv))) / denom
+    herm = 0.5 * (raw + raw.conj().T)
+    scale = float(np.max(np.abs(raw), initial=0.0))
+    noise = 256.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(sv))) ** 2)
+    noise /= float(np.min(np.abs(denom)))
+    asym = float(np.max(np.abs(raw - raw.conj().T), initial=0.0))
+    asym = 0.0 if scale <= noise else asym / scale
+    return HermitianSample(points=pts, entries=herm, asymmetry=asym, noise=noise)
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (NoAnalyticPoints, PoleProximity, DiagonalSingularity) as exc:
+        return exc
+
+
+def same_outcome(got, ref, compare):
+    if isinstance(ref, Exception) or isinstance(got, Exception):
+        return type(got) is type(ref) and str(got) == str(ref)
+    return compare(got, ref)
+
+
+def polar(r, t):
+    return complex(r * math.cos(t), r * math.sin(t))
+
+
+_angles = st.floats(0.0, 2.0 * math.pi)
+# Pole moduli: inside the disk, on and near the plan radius 0.9 and the unit
+# circle, and outside it (|p| >= 1 poles take part in the clearance test but
+# get no probes).
+_moduli = st.one_of(
+    st.sampled_from([0.0, 0.5, 0.9, 0.95, 1.0, 1.2]),
+    st.floats(0.0, 1.5),
+    st.floats(0.85, 0.95),
+)
+_poles = st.lists(st.builds(polar, _moduli, _angles), max_size=8).map(
+    lambda ps: np.array(ps, dtype=complex)
+)
+_clearances = st.one_of(st.sampled_from([0.05, 0.5]), st.floats(0.01, 0.6))
+_radii = st.one_of(st.sampled_from([0.9]), st.floats(0.05, 0.99))
+_seeds = st.integers(0, 2**32 - 1)
+_bitwise = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+class TestSamplerBitwise:
+    @_bitwise
+    @given(_poles, _clearances)
+    def test_pole_probes(self, poles, clearance):
+        got = _pole_probes(poles, clearance)
+        assert same_bits(np.array(got, dtype=complex), np.array(ref_pole_probes(poles, clearance), dtype=complex))
+
+    @_bitwise
+    @given(_poles, st.integers(2, 128), _radii, _clearances, _seeds)
+    def test_draw_points(self, poles, count, radius, clearance, seed):
+        existing = ref_pole_probes(poles, clearance)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = outcome(_draw_points, rng, count, radius, clearance, poles, existing)
+        ref = outcome(ref_draw_points, ref_rng, count, radius, clearance, poles, existing)
+        assert same_outcome(got, ref, lambda a, b: same_bits(np.array(a, complex), np.array(b, complex)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(2, 4), st.floats(0.0, 4e-3), _seeds)
+    # a pole at the centre whose clearance covers the whole disk
+    @example(2, 0.0, 1)
+    def test_exhausted_disk(self, count, free, seed):
+        # A pole at 0 leaves only the annulus of area fraction `free` free, so
+        # the 2000 * count candidates may run out before `count` points land.
+        radius = 0.9
+        poles = np.array([0.0, 0.7j], dtype=complex)
+        clearance = radius * math.sqrt(1.0 - free)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = outcome(_draw_points, rng, count, radius, clearance, poles, [])
+        ref = outcome(ref_draw_points, ref_rng, count, radius, clearance, poles, [])
+        assert same_outcome(got, ref, lambda a, b: same_bits(np.array(a, complex), np.array(b, complex)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if free == 0.0:
+            assert isinstance(got, NoAnalyticPoints)
+
+
+def _rational(num, den):
+    num, den = Poly(num), Poly(den)
+    if num.is_zero or den.is_zero:
+        return RationalFn.constant(1.0)
+    return RationalFn(num, den, reduce=False)
+
+
+_reals = st.floats(-3.0, 3.0)
+_coeffs = st.lists(st.builds(complex, _reals, _reals), min_size=1, max_size=6)
+_functions = st.one_of(
+    st.builds(_rational, _coeffs, _coeffs),
+    _angles.map(lambda t: RationalFn.constant(polar(1.0, t))),  # kernel is noise
+    st.just(RationalFn([1], [0, 1])),
+)
+_points = st.lists(st.builds(polar, st.floats(0.0, 0.99), _angles), min_size=1, max_size=48)
+
+
+class TestGramBitwise:
+    @_bitwise
+    @given(_functions, _points, st.booleans(), st.booleans())
+    def test_gram_matrix(self, s, points, near_pole, on_circle):
+        if near_pole and s.poles().size:
+            points = points + [complex(s.poles()[0]) + 1e-10]
+        if on_circle:  # 1 - z conj(z) vanishes at a point of modulus 1
+            points = points + [polar(1.0, 0.3)]
+        got = outcome(gram_matrix, s, points)
+        ref = outcome(ref_gram_matrix, s, points)
+
+        def same(a, b):
+            return (
+                same_bits(a.points, b.points)
+                and same_bits(a.entries, b.entries)
+                and same_bits(a.asymmetry, b.asymmetry)
+                and same_bits(a.noise, b.noise)
+            )
+
+        assert same_outcome(got, ref, same)
+
+    @_bitwise
+    @given(st.integers(2, 128), _seeds)
+    def test_sampled_gram_matrix(self, count, seed):
+        # the estimator's own sample: pole probes plus seeded draws
+        s = RationalFn([1, 0.3], [0.25, 0, 1])
+        poles = s.poles()
+        probes = ref_pole_probes(poles, 0.05)
+        pts = ref_draw_points(np.random.default_rng(seed), count, 0.9, 0.05, poles, probes)
+        got, ref = gram_matrix(s, pts), ref_gram_matrix(s, pts)
+        assert same_bits(got.entries, ref.entries) and same_bits(got.noise, ref.noise)
+        assert same_bits(got.asymmetry, ref.asymmetry)

@@ -18,10 +18,16 @@ than the parent's by more than the bound in the parent's BENCHMARK.json.
 `failed` and `correct` are listed per pair, and a last line counts the
 pairs on which the change failed fewer, more or as many ops as the parent,
 with each side's total of failed ops.
+
+Each side's median number of passes per run is printed too, read from the
+first line `bench/run.py` prints (`... N passes over M distinct ops`).
+Peak RSS grows with the number of passes that fit in `--seconds`, so a
+faster change's higher `peak_rss_mb` is read against its extra passes.
 """
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -29,14 +35,16 @@ from pathlib import Path
 
 
 def run(root, workload, seed, seconds):
-    """The JSON result line of one benchmark run in checkout `root`."""
+    """The JSON result line of one benchmark run in checkout `root`, with the
+    run's passes over its ops added as "passes"."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    passes = re.search(r"([0-9.]+) passes over", lines[0]) if lines else None
+    if proc.returncode != 0 or passes is None:
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "passes": float(passes.group(1))}
 
 
 def quartiles(values):
@@ -63,6 +71,9 @@ def report(workload, metrics, results):
         over = worse > m["bound"] * med_old
         print(f"  {name:<16} {med_old:>10.4g} {med_new:>10.4g} {q1:>10.4g}-{q3:<10.4g} {q3 - q1:>9.3g}"
               f"  {wins:>2}/{len(results):<2} {'yes' if gain else 'no':>5} {'over' if over else 'ok':>6}")
+    old = [p["passes"] for _, p, _ in results]
+    new = [c["passes"] for _, _, c in results]
+    print(f"  passes per run: parent median {statistics.median(old):.4g}, change median {statistics.median(new):.4g}")
     print("  per pair (seed: failed/attempted parent -> change, correct):")
     for seed, p, c in results:
         print(f"    {seed}: {p['failed']}/{p['attempted']} -> {c['failed']}/{c['attempted']}, "
