@@ -89,9 +89,9 @@ class InterpData:
         object.__setattr__(self, "z1", complex(self.z1))
         object.__setattr__(self, "tau0", complex(self.tau0))
         object.__setattr__(self, "tau", tuple(complex(t) for t in self.tau))
-        if abs(abs(self.z1) - 1.0) > CIRCLE_TOL:
+        if not abs(abs(self.z1) - 1.0) <= CIRCLE_TOL:
             raise InvalidProblemData("z1 not unimodular")
-        if abs(abs(self.tau0) - 1.0) > CIRCLE_TOL:
+        if not abs(abs(self.tau0) - 1.0) <= CIRCLE_TOL:
             raise InvalidProblemData("tau0 not unimodular")
         if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool) or self.k < 1:
             raise InvalidProblemData("k must be an integer >= 1")
@@ -100,11 +100,13 @@ class InterpData:
             raise InvalidProblemData(f"k exceeds cap {MAX_CONTACT_ORDER}")
         if len(self.tau) != self.k:
             raise InvalidProblemData("tau must list exactly k coefficients")
+        if not np.all(np.isfinite(self.tau)):
+            raise InvalidProblemData("tau coefficients must be finite")
         if abs(self.tau[0]) <= 1e-12:
             raise InvalidProblemData("tau_k must be nonzero")
         z0 = -self.z1 if self.z0 is None else complex(self.z0)
         object.__setattr__(self, "z0", z0)
-        if abs(abs(z0) - 1.0) > CIRCLE_TOL:
+        if not abs(abs(z0) - 1.0) <= CIRCLE_TOL:
             raise InvalidProblemData("z0 not unimodular")
         if abs(z0 - self.z1) <= 1e-12:
             raise InvalidProblemData("z0 must differ from z1")
@@ -405,7 +407,7 @@ def recover_parameter(s, data, *, theta=None):
     return s1
 
 
-def denominator_closed_form(s1, data, *, theta=None):
+def denominator_closed_form(s1, data):
     """Closed form of c*s1 + d:
 
         ((1-z conj(z1))^k - conj(tau0) (1-z conj(z0)) p(z) (s1 - tau0))
@@ -415,7 +417,7 @@ def denominator_closed_form(s1, data, *, theta=None):
     the numerator does not vanish at z1.
     """
     s1 = as_rational(s1)
-    cm = coeff_matrix(data) if theta is None else theta
+    cm = coeff_matrix(data)
     node = RationalFn(_node_factor(data, data.k), Poly.one(), reduce=False)
     weight = RationalFn(Poly((1.0, -np.conj(data.z0))) * cm.poly, Poly.one(), reduce=False)
     numerator = node - weight * (s1 - data.tau0) * np.conj(data.tau0)

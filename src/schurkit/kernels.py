@@ -18,7 +18,7 @@ from .errors import (
     PoleProximity,
 )
 from .rational import RationalFn, as_rational
-from .tolerances import DIAG_TOL, HERM_TOL, MAX_DEGREE, POLE_CLEARANCE
+from .tolerances import DIAG_TOL, HERM_TOL, POLE_CLEARANCE
 
 __all__ = [
     "HermitianSample",
@@ -45,8 +45,9 @@ class Inertia:
 class HermitianSample:
     """Gram matrix of the kernel at a finite point set.
 
-    `entries` is symmetrized to (M + M*)/2 before use; `asymmetry` records
-    the norm of the discarded skew part relative to the matrix scale, and
+    `entries` is (M + M*)/2 of the evaluated matrix M, so it is exactly
+    Hermitian and goes to the eigensolver as it is; `asymmetry` records the
+    norm of the discarded skew part relative to the matrix scale, and
     `noise` is an absolute bound on the evaluation rounding of each entry
     (used to widen the zero band of inertia counts).
     """
@@ -70,17 +71,17 @@ class SamplePlan:
     def __post_init__(self):
         if not 0.0 < self.radius < 1.0:
             raise ValueError("radius must lie in (0, 1)")
-        if self.pole_clearance <= 0.0:
-            raise ValueError("pole clearance must be positive")
+        if not 0.0 < self.pole_clearance < np.inf:
+            raise ValueError("pole clearance must be positive and finite")
         if self.initial_points < 2 or self.max_points < self.initial_points:
             raise ValueError("need initial_points >= 2 and max_points >= initial_points")
 
 
-def _pole_distance(s, pts):
-    poles = s.poles()
+def _pole_distance(poles, pts):
+    """Distance from each point of a 1-d array to its nearest pole (inf if none)."""
     if poles.size == 0:
-        return np.full(np.shape(pts), np.inf)
-    return np.min(np.abs(np.asarray(pts)[..., None] - poles[None, :]), axis=-1)
+        return np.full(pts.shape, np.inf)
+    return np.abs(pts[:, None] - poles).min(axis=1)
 
 
 def schur_kernel(s, z, w, *, pole_clearance=POLE_CLEARANCE):
@@ -91,7 +92,7 @@ def schur_kernel(s, z, w, *, pole_clearance=POLE_CLEARANCE):
     d = 1.0 - z * np.conj(w)
     if abs(d) <= DIAG_TOL * (1.0 + abs(z) * abs(w)):
         raise DiagonalSingularity(f"1 - z*conj(w) vanishes at z={z}, w={w}")
-    if min(_pole_distance(s, np.array([z, w]))) <= pole_clearance:
+    if min(_pole_distance(s.poles(), np.array([z, w]))) <= pole_clearance:
         raise PoleProximity("evaluation point too close to a pole")
     return (1.0 - s(z) * np.conj(s(w))) / d
 
@@ -100,7 +101,7 @@ def gram_matrix(s, points):
     """Sampled kernel Gram matrix, symmetrized, with the asymmetry reported."""
     s = as_rational(s)
     pts = np.asarray(points, dtype=complex).ravel()
-    if np.any(_pole_distance(s, pts) <= POLE_CLEARANCE):
+    if np.any(_pole_distance(s.poles(), pts) <= POLE_CLEARANCE):
         raise PoleProximity("sample point too close to a pole")
     # Every n x n pass runs in place in denom, raw and one magnitude buffer;
     # herm is the only other n x n array, and it is returned.
@@ -130,9 +131,9 @@ def gram_matrix(s, points):
 
 
 def hermitian_eigenvalues(matrix):
-    """Ascending eigenvalues of the Hermitian part of a matrix (LAPACK)."""
-    A = np.asarray(matrix, dtype=complex)
-    return np.linalg.eigvalsh(0.5 * (A + A.conj().T))
+    """Ascending eigenvalues of a Hermitian matrix (LAPACK `eigvalsh`, which
+    reads only the lower triangle; the matrix is not symmetrized here)."""
+    return np.linalg.eigvalsh(np.asarray(matrix, dtype=complex))
 
 
 def inertia(sample):
@@ -182,9 +183,7 @@ def _pole_probes(poles, clearance):
             probes.append(p * np.exp(-1j * spin * phi))
             probes.append(p * (1.0 - phi))
     z = np.array(probes, dtype=complex)
-    keep = np.abs(z) < 1.0
-    if poles.size:
-        keep &= np.abs(z[:, None] - poles).min(axis=1) >= 0.99 * clearance
+    keep = (np.abs(z) < 1.0) & (_pole_distance(poles, z) >= 0.99 * clearance)
     return z[keep].tolist()
 
 
@@ -210,9 +209,7 @@ def _draw_points(rng, count, radius, clearance, poles, existing):
         attempts += m
         u = rng.uniform(size=2 * m)
         z = radius * np.sqrt(u[0::2]) * np.exp(2j * np.pi * u[1::2])
-        if poles.size:
-            z = z[np.abs(z[:, None] - poles).min(axis=1) > clearance]
-        out += z.tolist()
+        out += z[_pole_distance(poles, z) > clearance].tolist()
     return out
 
 
@@ -229,8 +226,6 @@ def estimate_negative_squares(s, plan=SamplePlan()):
     rank-structured rational functions targeted here.
     """
     s = as_rational(s)
-    if s.degree > MAX_DEGREE:
-        raise ValueError(f"degree {s.degree} exceeds cap {MAX_DEGREE}")
     rng = np.random.default_rng(plan.seed)
     poles = s.poles()
     pts: list[complex] = _pole_probes(poles, plan.pole_clearance)

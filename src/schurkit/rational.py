@@ -566,10 +566,10 @@ class BlaschkeProduct:
     def __init__(self, zeros=(), const=1.0):
         zs = tuple(complex(a) for a in zeros)
         for a in zs:
-            if abs(a) >= 1.0 - BOUNDARY_MARGIN:
+            if not abs(a) < 1.0 - BOUNDARY_MARGIN:
                 raise BoundaryPole(f"Blaschke zero {a} too close to the unit circle")
         c = complex(const)
-        if abs(abs(c) - 1.0) > CIRCLE_TOL:
+        if not abs(abs(c) - 1.0) <= CIRCLE_TOL:
             raise ValueError(f"constant {c} is not unimodular")
         self.zeros = zs
         self.const = c

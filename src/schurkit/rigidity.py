@@ -97,7 +97,7 @@ class PathSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "z1", complex(self.z1))
-        if abs(abs(self.z1) - 1.0) > CIRCLE_TOL:
+        if not abs(abs(self.z1) - 1.0) <= CIRCLE_TOL:
             raise ValueError("path endpoint must be unimodular")
         if not abs(self.angle) < math.pi / 2:
             raise ValueError("approach angle must satisfy |angle| < pi/2")
@@ -190,7 +190,7 @@ def contact_order_probe(sigma, x):
     order >= 2 is therefore reported as a verification failure.
     """
     x = complex(x)
-    if abs(abs(x) - 1.0) > CIRCLE_TOL:
+    if not abs(abs(x) - 1.0) <= CIRCLE_TOL:
         raise ValueError("contact value must be unimodular")
     sigma = as_rational(sigma)
     schur_circle_check(sigma)
@@ -222,7 +222,7 @@ def rigidity_check(data, x, s):
     reports the recovered parameter's deviation order from x.
     """
     x = complex(x)
-    if abs(abs(x) - 1.0) > CIRCLE_TOL:
+    if not abs(abs(x) - 1.0) <= CIRCLE_TOL:
         raise InvalidContactPoint("contact point must be unimodular")
     if abs(x - data.tau0) <= 1e-12:
         raise InvalidContactPoint("contact point must differ from tau0")

@@ -66,6 +66,25 @@ class TestDataValidation:
         with pytest.raises(InvalidProblemData, match=msg):
             InterpData(**kwargs)
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])
+    @pytest.mark.parametrize(
+        "field,msg",
+        [("z1", "z1 not unimodular"), ("tau0", "tau0 not unimodular"), ("z0", "z0 not unimodular")],
+    )
+    def test_rejects_non_finite_point(self, field, msg, bad):
+        kwargs = dict(z1=1.0, k=1, tau0=1.0, tau=(0.5,), z0=-1.0)
+        kwargs[field] = bad
+        with pytest.raises(InvalidProblemData, match=msg):
+            InterpData(**kwargs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.5, float("nan"))])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_rejects_non_finite_tau(self, bad, at):
+        tau = [0.5, 0.25]
+        tau[at] = bad
+        with pytest.raises(InvalidProblemData, match="finite"):
+            InterpData(z1=1.0, k=2, tau0=1.0, tau=tuple(tau))
+
     def test_accepts_numpy_integer_k(self):
         d = InterpData(z1=1.0, k=np.int64(2), tau0=1.0, tau=(1j, -1j), z0=-1.0)
         assert type(d.k) is int and d.k == 2

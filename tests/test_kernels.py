@@ -1,6 +1,7 @@
 """Kernel evaluation, Gram inertia, and the negative-squares estimator."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_blaschke
+from schurkit import kernels
 from schurkit.errors import (
     DiagonalSingularity,
     NoAnalyticPoints,
@@ -16,9 +18,9 @@ from schurkit.errors import (
 )
 from schurkit.kernels import (
     HermitianSample,
+    Inertia,
     SamplePlan,
     _draw_points,
-    _pole_distance,
     _pole_probes,
     estimate_negative_squares,
     gram_matrix,
@@ -27,7 +29,7 @@ from schurkit.kernels import (
     schur_kernel,
 )
 from schurkit.rational import BlaschkeProduct, Poly, RationalFn, as_rational
-from schurkit.tolerances import DIAG_TOL, POLE_CLEARANCE
+from schurkit.tolerances import DIAG_TOL, HERM_TOL, POLE_CLEARANCE
 
 Z = RationalFn.x()
 RECIP = RationalFn([1], [0, 1])
@@ -110,6 +112,12 @@ class TestInertia:
             ref = np.linalg.eigvalsh(h)
             assert np.max(np.abs(ours - ref)) < 1e-10 * max(1.0, np.max(np.abs(ref)))
 
+    def test_hermitian_eigenvalues_read_the_lower_triangle(self, rng):
+        # The matrix is not symmetrized: only its lower triangle is read.
+        b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        lower = np.tril(b) + np.tril(b, -1).conj().T
+        assert same_bits(hermitian_eigenvalues(b), np.linalg.eigvalsh(lower))
+
     def test_counts_match_lapack_on_gram(self, rng):
         for _ in range(10):
             pts = 0.8 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7))
@@ -181,6 +189,11 @@ class TestEstimator:
         with pytest.raises(NoAnalyticPoints):
             estimate_negative_squares(RECIP, SamplePlan(pole_clearance=5.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_plan_rejects_bad_clearance(self, bad):
+        with pytest.raises(ValueError, match="pole clearance"):
+            SamplePlan(pole_clearance=bad)
+
 
 # Reference copies of the one-point-at-a-time sampler and the allocating Gram
 # build; the array versions in kernels.py must match them bit for bit and
@@ -223,10 +236,17 @@ def ref_draw_points(rng, count, radius, clearance, poles, existing):
     return out
 
 
+def ref_pole_distance(s, pts):
+    poles = s.poles()
+    if poles.size == 0:
+        return np.full(np.shape(pts), np.inf)
+    return np.min(np.abs(np.asarray(pts)[..., None] - poles[None, :]), axis=-1)
+
+
 def ref_gram_matrix(s, points):
     s = as_rational(s)
     pts = np.asarray(points, dtype=complex).ravel()
-    if np.any(_pole_distance(s, pts) <= POLE_CLEARANCE):
+    if np.any(ref_pole_distance(s, pts) <= POLE_CLEARANCE):
         raise PoleProximity("sample point too close to a pole")
     denom = 1.0 - np.outer(pts, np.conj(pts))
     if np.min(np.abs(denom)) <= DIAG_TOL * (1.0 + np.max(np.abs(pts)) ** 2):
@@ -367,3 +387,105 @@ class TestGramBitwise:
         got, ref = gram_matrix(s, pts), ref_gram_matrix(s, pts)
         assert same_bits(got.entries, ref.entries) and same_bits(got.noise, ref.noise)
         assert same_bits(got.asymmetry, ref.asymmetry)
+
+
+# Reference copies of the eigensolver that symmetrized its input again and of
+# the inertia that called it; the eigenvalues LAPACK sees, and the counts,
+# must not change now that the matrix goes to LAPACK as inertia leaves it.
+
+
+def ref_hermitian_eigenvalues(matrix):
+    A = np.asarray(matrix, dtype=complex)
+    return np.linalg.eigvalsh(0.5 * (A + A.conj().T))
+
+
+def ref_inertia(sample):
+    """(Inertia, eigenvalues) as the symmetrizing eigensolver gave them."""
+    noise = 0.0
+    if isinstance(sample, HermitianSample):
+        if sample.asymmetry > HERM_TOL:
+            raise NotHermitian(f"asymmetry {sample.asymmetry:.3g} exceeds {HERM_TOL:.3g}")
+        H = sample.entries
+        noise = sample.noise
+    else:
+        H = np.asarray(sample, dtype=complex)
+        scale = float(np.max(np.abs(H), initial=0.0))
+        if scale > 0 and np.max(np.abs(H - H.conj().T)) > HERM_TOL * scale:
+            raise NotHermitian("matrix asymmetry exceeds tolerance")
+        H = 0.5 * (H + H.conj().T)
+    n = H.shape[0]
+    eig = ref_hermitian_eigenvalues(H)
+    scale = float(np.max(np.abs(H), initial=0.0))
+    band = 1e-10 * max(n, 1) * scale + max(n, 1) * noise
+    n_pos = int(np.sum(eig > band))
+    n_neg = int(np.sum(eig < -band))
+    return Inertia(n_pos=n_pos, n_neg=n_neg, n_zero=n - n_pos - n_neg), eig
+
+
+def inertia_and_eigenvalues(sample):
+    """(inertia(sample), the eigenvalues it computed)."""
+    seen = []
+
+    def record(matrix):
+        seen.append(hermitian_eigenvalues(matrix))
+        return seen[-1]
+
+    with mock.patch.object(kernels, "hermitian_eigenvalues", record):
+        result = inertia(sample)
+    assert len(seen) == 1
+    return result, seen[0]
+
+
+def same_inertia(got, ref):
+    return same_outcome(got, ref, lambda a, b: a[0] == b[0] and same_bits(a[1], b[1]))
+
+
+def inertia_outcome(f, sample):
+    try:
+        return f(sample)
+    except NotHermitian as exc:
+        return exc
+
+
+def _disk_rational(zeros, poles, c):
+    return RationalFn(Poly.from_roots(zeros) * c, Poly.from_roots(poles), reduce=False)
+
+
+_disk_points = st.lists(st.builds(polar, st.floats(0.0, 0.9), _angles), max_size=5)
+
+
+def _near_hermitian(seed, n, skew, real):
+    """A random n x n matrix, Hermitian up to a skew part of `skew` HERM_TOL
+    relative to its scale (rejected by inertia above 1)."""
+    rng = np.random.default_rng(seed)
+    if real:
+        b, e = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+    else:
+        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = b + b.conj().T
+    return h + 0.5 * skew * HERM_TOL * np.max(np.abs(h)) * e / np.max(np.abs(e))
+
+
+class TestInertiaBitwise:
+    @_bitwise
+    @given(_disk_points, _disk_points, _angles, st.integers(8, 128), _seeds)
+    def test_gram_sample(self, zeros, poles, phase, count, seed):
+        # the estimator's own sample: pole probes plus seeded draws
+        s = _disk_rational(zeros, poles, polar(1.0, phase))
+        disk_poles = s.poles()
+        probes = ref_pole_probes(disk_poles, 0.05)
+        pts = outcome(ref_draw_points, np.random.default_rng(seed), count, 0.9, 0.05, disk_poles, probes)
+        sample = outcome(gram_matrix, s, [] if isinstance(pts, Exception) else pts)
+        if isinstance(sample, Exception) or sample.entries.size == 0:
+            return
+        assert np.array_equal(sample.entries, sample.entries.conj().T)
+        assert same_inertia(inertia_outcome(inertia_and_eigenvalues, sample), inertia_outcome(ref_inertia, sample))
+
+    @_bitwise
+    @given(_seeds, st.integers(1, 48), st.floats(0.0, 1.5), st.booleans())
+    @example(1, 1, 0.0, True)
+    @example(2, 16, 1.0, False)
+    def test_raw_array(self, seed, n, skew, real):
+        a = _near_hermitian(seed, n, skew, real)
+        assert same_inertia(inertia_outcome(inertia_and_eigenvalues, a), inertia_outcome(ref_inertia, a))

@@ -207,6 +207,16 @@ class TestBlaschke:
         with pytest.raises(BoundaryPole):
             BlaschkeProduct([0.9999999])
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.5, float("nan"))])
+    def test_non_finite_zero_rejected(self, bad):
+        with pytest.raises(BoundaryPole):
+            BlaschkeProduct([0.5, bad])
+
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])
+    def test_non_finite_constant_rejected(self, bad):
+        with pytest.raises(ValueError, match="unimodular"):
+            BlaschkeProduct([0.5], const=bad)
+
 
 class TestKreinLanger:
     def test_reciprocal(self):

@@ -32,6 +32,8 @@ D5 = InterpData(z1=1.0, k=1, tau0=1.0, tau=(-1.0,), z0=-1.0)
 
 FIT_PATH = PathSpec(ratio=0.6, count=10)
 
+NON_FINITE = [complex("nan"), complex("inf"), complex(1.0, float("nan"))]
+
 
 def affine(alpha):
     return RationalFn(Poly([1 - alpha, alpha]), Poly.one(), reduce=False)
@@ -76,6 +78,11 @@ class TestPaths:
             PathSpec(angle=np.pi / 2)
         with pytest.raises(ValueError):
             PathSpec(ratio=1.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_endpoint(self, bad):
+        with pytest.raises(ValueError, match="unimodular"):
+            PathSpec(z1=bad)
 
 
 class TestOrderEstimate:
@@ -144,6 +151,11 @@ class TestContactProbe:
         with pytest.raises(NotSchur):
             contact_order_probe(RationalFn.constant(2.0), 1.0)
 
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_value(self, bad):
+        with pytest.raises(ValueError, match="unimodular"):
+            contact_order_probe(RationalFn.x(), bad)
+
 
 class TestRigidityCheck:
     def test_forced_identity_burns_krantz(self):
@@ -154,6 +166,11 @@ class TestRigidityCheck:
         s = solve(D4, RationalFn([0, -1]))
         v = rigidity_check(D4, -1.0, s)
         assert not v.forced_identity and v.observed_order == 3
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_contact_point(self, bad):
+        with pytest.raises(InvalidContactPoint, match="unimodular"):
+            rigidity_check(D4, bad, RationalFn.x())
 
     def test_forced_identity_reciprocal(self):
         v = rigidity_check(D5, -1.0, RationalFn([1], [0, 1]))

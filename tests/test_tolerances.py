@@ -25,7 +25,6 @@ EXPECTED = {
     "interpolation.solve": ["theta", "verify"],
     "interpolation.verify_expansion": ["order_tol"],
     "interpolation.recover_parameter": ["theta"],
-    "interpolation.denominator_closed_form": ["theta"],
     "interpolation.solution_negative_squares": ["plan"],
     "kernels.HermitianSample.__init__": ["noise"],
     "kernels.SamplePlan.__init__": [

@@ -1,6 +1,6 @@
 """Fingerprint the library's answers on the benchmark's decks.
 
-    python3 tools/fingerprint.py --seeds 1 2 3 --cycles 0 1 2 [--workloads interp negsq]
+    python3 tools/fingerprint.py --seeds 1 2 3 --cycles 0 1 2 [--workloads interp negsq cli]
 
 Run from the root of a source checkout: the library is imported from ./src
 and the decks from ./bench/workloads.py, which is only imported, never
@@ -8,7 +8,9 @@ changed. Every op of each deck (seed, cycle) is run once, in deck order, and
 its full result goes into one SHA-256 per workload: coefficient bytes of
 every rational function and array, every report field, and the type and
 message of every exception. Numbers are hashed by value (float.hex), not by
-Python type. Two checkouts whose digests agree gave bit-identical answers.
+Python type. A `cli` op runs `schurkit.cli.main` in this process on fixture
+files written to a temporary directory; its exit code and stdout bytes are
+hashed. Two checkouts whose digests agree gave bit-identical answers.
 """
 
 import os
@@ -23,6 +25,7 @@ import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import numbers  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -71,14 +74,19 @@ def feed(h, value):
     elif isinstance(value, numbers.Complex):
         z = complex(value)
         h.update(f"c {z.real.hex()} {z.imag.hex()}\n".encode())
+    elif isinstance(value, bytes):
+        h.update(f"y {len(value)}\n".encode())
+        h.update(value)
     elif value is None or isinstance(value, str):
         h.update(f"s {value!r}\n".encode())
     else:
         raise TypeError(f"no encoding for {type(value).__name__}")
 
 
-def digest(workloads, workload, seeds, cycles):
-    """(number of ops, SHA-256 hex digest) over the decks of seeds x cycles."""
+def digest(workloads, workload, seeds, cycles, workdir):
+    """(number of ops, SHA-256 hex digest) over the decks of seeds x cycles;
+    `cli` fixture files go under `workdir`."""
+    runner = workloads.CliRunner(None, ROOT, in_process=True)
     h = hashlib.sha256()
     n = 0
     for seed in seeds:
@@ -86,8 +94,12 @@ def digest(workloads, workload, seeds, cycles):
             rng = np.random.default_rng([seed, cycle])
             if workload == "interp":
                 deck, _ = workloads.interp_deck(rng)
-            else:
+            elif workload == "negsq":
                 deck, _ = workloads.negsq_deck(rng, cycle)
+            else:
+                fixtures = Path(workdir) / f"seed-{seed}-cycle-{cycle}"
+                fixtures.mkdir(exist_ok=True)
+                deck, _ = workloads.cli_deck(rng, runner, fixtures)
             for op in deck:
                 try:
                     result = op.run()
@@ -104,7 +116,10 @@ def main():
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--cycles", type=int, nargs="+", required=True)
     parser.add_argument(
-        "--workloads", nargs="+", choices=("interp", "negsq"), default=["interp", "negsq"]
+        "--workloads",
+        nargs="+",
+        choices=("interp", "negsq", "cli"),
+        default=["interp", "negsq", "cli"],
     )
     args = parser.parse_args()
     if not (ROOT / "src" / "schurkit" / "__init__.py").is_file():
@@ -116,7 +131,8 @@ def main():
     import workloads
 
     for workload in args.workloads:
-        n, hexdigest = digest(workloads, workload, args.seeds, args.cycles)
+        with tempfile.TemporaryDirectory() as workdir:
+            n, hexdigest = digest(workloads, workload, args.seeds, args.cycles, workdir)
         seeds = ",".join(map(str, args.seeds))
         cycles = ",".join(map(str, args.cycles))
         print(f"{workload} seeds={seeds} cycles={cycles} ops={n} sha256={hexdigest}")
