@@ -50,7 +50,8 @@ class PoleProximity(SchurkitError):
 
 
 class NotHermitian(SchurkitError):
-    """Matrix asymmetry exceeds the Hermitian tolerance."""
+    """Matrix asymmetry exceeds the Hermitian tolerance, or cannot be
+    measured because an entry is NaN or infinite."""
 
 
 class NoAnalyticPoints(SchurkitError):

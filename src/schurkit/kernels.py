@@ -140,16 +140,20 @@ def inertia(sample):
     """Counts of eigenvalues above, below, and inside the zero band.
 
     The zero band has half-width 1e-10 * n * max|entry| to absorb eigenvalue
-    rounding; a sampled Gram matrix must be Hermitian within HERM_TOL.
+    rounding; a sampled Gram matrix must be Hermitian within HERM_TOL. A raw
+    array with a NaN or infinite entry, or a sample whose asymmetry is NaN,
+    raises NotHermitian: its eigenvalues cannot be counted.
     """
     noise = 0.0
     if isinstance(sample, HermitianSample):
-        if sample.asymmetry > HERM_TOL:
+        if not sample.asymmetry <= HERM_TOL:
             raise NotHermitian(f"asymmetry {sample.asymmetry:.3g} exceeds {HERM_TOL:.3g}")
         H = sample.entries
         noise = sample.noise
     else:
         H = np.asarray(sample, dtype=complex)
+        if not np.isfinite(H).all():
+            raise NotHermitian("matrix has a NaN or infinite entry")
         scale = float(np.max(np.abs(H), initial=0.0))
         if scale > 0 and np.max(np.abs(H - H.conj().T)) > HERM_TOL * scale:
             raise NotHermitian("matrix asymmetry exceeds tolerance")

@@ -36,13 +36,14 @@ def _toeplitz(tau):
     return T
 
 
-def random_interp_data(rng, k, max_cond=1e6):
+def random_interp_data(rng, k, max_cond=1e6, min_ratio=0.3):
     """Random datum with a Hermitian, well-conditioned Pick matrix.
 
     The Pick matrix is complex-linear in the tau vector, so Hermiticity is a
     real-linear constraint; tau is sampled from the null space of that
-    constraint (via SVD) and rejected until tau_k is solidly nonzero and the
-    matrix is invertible.
+    constraint (via SVD) and rejected until |tau_k| >= min_ratio max|tau| and
+    the matrix is invertible. The constraint makes later coefficients grow
+    binomially, so k >= 6 needs a smaller min_ratio (1e-3 reaches k = 8).
     """
     for _ in range(200):
         z1 = unimodular(rng)
@@ -66,7 +67,7 @@ def random_interp_data(rng, k, max_cond=1e6):
             continue
         y = sum(rng.normal() * n for n in null)
         tau = y[0::2] + 1j * y[1::2]
-        if abs(tau[0]) < 0.3 * max(np.max(np.abs(tau)), 1e-12):
+        if abs(tau[0]) < min_ratio * max(np.max(np.abs(tau)), 1e-12):
             continue
         tau = tau / abs(tau[0]) * rng.uniform(0.5, 2.0)
         data = InterpData(z1=z1, k=k, tau0=tau0, tau=tuple(tau), z0=z0)

@@ -13,6 +13,7 @@ from schurkit.errors import (
     NonHermitianPick,
     PoleAtExpansionPoint,
     SingularPick,
+    VerificationError,
 )
 from schurkit.interpolation import (
     J,
@@ -34,6 +35,7 @@ from schurkit.interpolation import (
 from schurkit.kernels import SamplePlan, inertia
 from schurkit.rational import INF, Poly, RationalFn, unit_circle_samples
 from schurkit.rigidity import rigidity_check
+from schurkit.tolerances import CIRCLE_TOL
 
 D4 = InterpData(z1=1.0, k=1, tau0=1.0, tau=(1.0,), z0=-1.0)
 D5 = InterpData(z1=1.0, k=1, tau0=1.0, tau=(-1.0,), z0=-1.0)
@@ -260,6 +262,79 @@ class TestCoeffMatrix:
             m = cm.eval(w)
             resid = np.max(np.abs(m @ J @ m.conj().T - J))
             assert resid <= 1e-9 * (1.0 + np.max(np.abs(m)) ** 2)
+
+
+def identity_residual(cm):
+    """(max|w + (-conj z1)^k w#|, max|w|) for w = (1 - conj(z0) z) p padded
+    to length k + 1 and w# its conjugate reversed."""
+    d = cm.data
+    w = np.zeros(d.k + 1, dtype=complex)
+    coeffs = np.convolve([1.0, -np.conj(d.z0)], cm.poly.coeffs)
+    w[: coeffs.size] = coeffs
+    return np.max(np.abs(w + (-np.conj(d.z1)) ** d.k * np.conj(w[::-1]))), np.max(np.abs(w))
+
+
+# Interp benchmark datum (seed 2, cycle 2, op 16). Sampling the matrix at 16
+# circle points read a J-residual 8.6 times CIRCLE_TOL (1 + max|m|^2) from
+# evaluation rounding; the coefficient identity holds to 5e-14 of max|w|.
+K8_DATUM = InterpData(
+    z1=(0.991291156671128 + 0.13168843041671208j),
+    k=8,
+    tau0=(0.946780355992037 - 0.32188034656932935j),
+    tau=(
+        (-1.1830982511872679 - 0.2232483223060296j),
+        (5.009545537989388 - 3.4227165756526667j),
+        (-6.654785542169569 + 17.173773547405805j),
+        (-1.8557608426210195 - 26.56177672346861j),
+        (6.329141170693306 - 9.900720592169824j),
+        (12.791536293097483 + 62.38464649997672j),
+        (47.943417224726325 + 77.12520323228848j),
+        (107.34509948173898 + 13.484721566686066j),
+    ),
+    z0=(0.881904507629133 + 0.471428085102507j),
+)
+
+
+class TestSelfCheckIdentity:
+    """coeff_matrix checks J-unitarity on the circle as the coefficient
+    identity w + (-conj z1)^k w# = 0 within CIRCLE_TOL max|w|."""
+
+    @pytest.mark.parametrize(
+        "k,factor",
+        [(k, 1.0 + 1e-6j) for k in range(1, 9)] + [(k, 1.0 + 1e-6) for k in range(2, 9)],
+    )
+    def test_perturbed_polynomial_raises(self, monkeypatch, k, factor):
+        # In terms of p the identity reads p_j = gamma conj(p_{k-1-j}) with
+        # |gamma| = 1, so a real rescale of a coefficient that is its own
+        # mirror (the middle one at odd k) keeps the matrix J-unitary; the
+        # constant coefficient mirrors p_{k-1}, which is another one for k > 1.
+        data = random_interp_data(np.random.default_rng([7, k]), k, max_cond=1e8, min_ratio=1e-3)
+        coeffs = pick_polynomial(data).coeffs.copy()
+        coeffs[0] *= factor
+        monkeypatch.setattr(interpolation, "pick_polynomial", lambda d: Poly(coeffs))
+        with pytest.raises(VerificationError, match="not J-unitary on the circle"):
+            coeff_matrix(data)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_sweep(self, k):
+        rng = np.random.default_rng([11, k])
+        for _ in range(8):
+            cm = coeff_matrix(random_interp_data(rng, k, max_cond=1e8, min_ratio=1e-3))
+            resid, scale = identity_residual(cm)
+            assert resid <= CIRCLE_TOL * scale
+            if k > 4:
+                continue
+            for w in unit_circle_samples(32):
+                if abs(w - cm.data.z1) < 0.15:
+                    continue
+                m = cm.eval(w)
+                j_resid = np.max(np.abs(m @ J @ m.conj().T - J))
+                assert j_resid <= 1e-9 * (1.0 + np.max(np.abs(m)) ** 2)
+
+    def test_k8_datum_builds(self):
+        cm = coeff_matrix(K8_DATUM)
+        resid, scale = identity_residual(cm)
+        assert resid <= 1e-4 * CIRCLE_TOL * scale
 
 
 class TestOneBuildPerDatum:

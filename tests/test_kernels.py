@@ -1,6 +1,7 @@
 """Kernel evaluation, Gram inertia, and the negative-squares estimator."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -126,6 +127,28 @@ class TestInertia:
             ref = np.linalg.eigvalsh(g.entries)
             band = 1e-10 * 7 * np.max(np.abs(g.entries))
             assert res.n_neg == int(np.sum(ref < -band))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[math.nan, 0.0], [0.0, 1.0]],
+            [[math.inf, 0.0], [0.0, -1.0]],
+            [[1.0, complex(0.0, math.inf)], [0.0, 1.0]],
+        ],
+    )
+    def test_rejects_non_finite_array(self, bad):
+        # counted as Inertia(0, 0, 2) before, with numpy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian, match="NaN or infinite"):
+                inertia(np.array(bad))
+
+    def test_rejects_nan_asymmetry(self):
+        sample = HermitianSample(
+            points=np.zeros(2, complex), entries=np.eye(2, dtype=complex), asymmetry=math.nan
+        )
+        with pytest.raises(NotHermitian):
+            inertia(sample)
 
 
 class TestEstimator:

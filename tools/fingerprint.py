@@ -1,6 +1,6 @@
 """Fingerprint the library's answers on the benchmark's decks.
 
-    python3 tools/fingerprint.py --seeds 1 2 3 --cycles 0 1 2 [--workloads interp negsq cli]
+    python3 tools/fingerprint.py --seeds 1 2 3 --cycles 0 1 2 [--workloads interp negsq cli] [--per-op]
 
 Run from the root of a source checkout: the library is imported from ./src
 and the decks from ./bench/workloads.py, which is only imported, never
@@ -11,6 +11,10 @@ message of every exception. Numbers are hashed by value (float.hex), not by
 Python type. A `cli` op runs `schurkit.cli.main` in this process on fixture
 files written to a temporary directory; its exit code and stdout bytes are
 hashed. Two checkouts whose digests agree gave bit-identical answers.
+
+With --per-op, each op's own SHA-256 (over the same bytes) is printed too,
+one line per op ahead of its workload's line, so the output of two checkouts
+can be diffed op by op to find the ops whose answers moved.
 """
 
 import os
@@ -26,6 +30,7 @@ import hashlib  # noqa: E402
 import numbers  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import types  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -84,11 +89,11 @@ def feed(h, value):
 
 
 def digest(workloads, workload, seeds, cycles, workdir):
-    """(number of ops, SHA-256 hex digest) over the decks of seeds x cycles;
-    `cli` fixture files go under `workdir`."""
+    """(number of ops, SHA-256 hex digest, per-op lines) over the decks of
+    seeds x cycles; `cli` fixture files go under `workdir`."""
     runner = workloads.CliRunner(None, ROOT, in_process=True)
     h = hashlib.sha256()
-    n = 0
+    per_op = []
     for seed in seeds:
         for cycle in cycles:
             rng = np.random.default_rng([seed, cycle])
@@ -100,15 +105,19 @@ def digest(workloads, workload, seeds, cycles, workdir):
                 fixtures = Path(workdir) / f"seed-{seed}-cycle-{cycle}"
                 fixtures.mkdir(exist_ok=True)
                 deck, _ = workloads.cli_deck(rng, runner, fixtures)
-            for op in deck:
+            for index, op in enumerate(deck):
                 try:
                     result = op.run()
                 except Exception as exc:  # noqa: BLE001 - an op's outcome
                     result = exc
-                h.update(f"op {op.label}\n".encode())
-                feed(h, result)
-                n += 1
-    return n, h.hexdigest()
+                encoded = bytearray(f"op {op.label}\n".encode())
+                feed(types.SimpleNamespace(update=encoded.extend), result)
+                h.update(encoded)
+                per_op.append(
+                    f"{workload} seed={seed} cycle={cycle} op={index} "
+                    f"sha256={hashlib.sha256(encoded).hexdigest()} {op.label}"
+                )
+    return len(per_op), h.hexdigest(), per_op
 
 
 def main():
@@ -121,6 +130,7 @@ def main():
         choices=("interp", "negsq", "cli"),
         default=["interp", "negsq", "cli"],
     )
+    parser.add_argument("--per-op", action="store_true", help="also print one digest per op")
     args = parser.parse_args()
     if not (ROOT / "src" / "schurkit" / "__init__.py").is_file():
         print(f"fingerprint: no schurkit sources under {ROOT / 'src'}", file=sys.stderr)
@@ -132,7 +142,9 @@ def main():
 
     for workload in args.workloads:
         with tempfile.TemporaryDirectory() as workdir:
-            n, hexdigest = digest(workloads, workload, args.seeds, args.cycles, workdir)
+            n, hexdigest, per_op = digest(workloads, workload, args.seeds, args.cycles, workdir)
+        if args.per_op:
+            print("\n".join(per_op))
         seeds = ",".join(map(str, args.seeds))
         cycles = ",".join(map(str, args.cycles))
         print(f"{workload} seeds={seeds} cycles={cycles} ops={n} sha256={hexdigest}")
