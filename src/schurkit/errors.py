@@ -51,7 +51,8 @@ class PoleProximity(SchurkitError):
 
 class NotHermitian(SchurkitError):
     """Matrix asymmetry exceeds the Hermitian tolerance, or cannot be
-    measured because an entry is NaN or infinite."""
+    measured because an entry is NaN or infinite, or kernel samples would
+    overflow."""
 
 
 class NoAnalyticPoints(SchurkitError):

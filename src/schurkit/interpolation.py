@@ -385,9 +385,23 @@ def recover_parameter(s, data, *, theta=None):
     Its numerator and denominator share (z - z1)^j, where j is the number of
     leading datum coefficients s matches (2k for a solution); that factor is
     divided out exactly. The result is round-trip checked by evaluation.
+
+    A parameter that passes is kept on `s` with the coefficient matrix and
+    datum it was recovered for (compared by identity): a later call with the
+    same pair returns the same object. A recovery that raises is not kept.
     """
     s = as_rational(s)
     cm = coeff_matrix(data) if theta is None else theta
+    kept = s._recovered
+    if kept is not None and kept[0] is cm and kept[1] is data:
+        return kept[2]
+    s1 = _recover(s, data, cm)
+    s._recovered = (cm, data, s1)
+    return s1
+
+
+def _recover(s, data, cm):
+    """The parameter recover_parameter returns, computed afresh."""
     m = cm.mat
     top = m.d.num * s.num - m.b.num * s.den
     bot = m.a.num * s.den - m.c.num * s.num

@@ -77,6 +77,10 @@ class SamplePlan:
             raise ValueError("need initial_points >= 2 and max_points >= initial_points")
 
 
+# Largest modulus whose square is finite: beyond it |s|^2 overflows.
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
+
+
 def _pole_distance(poles, pts):
     """Distance from each point of a 1-d array to its nearest pole (inf if none)."""
     if poles.size == 0:
@@ -98,7 +102,11 @@ def schur_kernel(s, z, w, *, pole_clearance=POLE_CLEARANCE):
 
 
 def gram_matrix(s, points):
-    """Sampled kernel Gram matrix, symmetrized, with the asymmetry reported."""
+    """Sampled kernel Gram matrix, symmetrized, with the asymmetry reported.
+
+    Raises NotHermitian when |s| on the sample exceeds the square root of
+    the largest double, where the kernel's entries overflow.
+    """
     s = as_rational(s)
     pts = np.asarray(points, dtype=complex).ravel()
     if np.any(_pole_distance(s.poles(), pts) <= POLE_CLEARANCE):
@@ -112,6 +120,9 @@ def gram_matrix(s, points):
     if dmin <= DIAG_TOL * (1.0 + np.max(np.abs(pts)) ** 2):
         raise DiagonalSingularity("points z, w with z*conj(w) = 1 in the sample")
     sv = s(pts)
+    peak = float(np.max(np.abs(sv)))
+    if peak > _SQRT_MAX:
+        raise NotHermitian(f"kernel samples overflow: |s| reaches {peak:.3g} on the sample")
     raw = np.outer(sv, sv.conj())
     np.subtract(1.0, raw, out=raw)
     raw /= denom
@@ -122,7 +133,7 @@ def gram_matrix(s, points):
     # A kernel that vanishes identically (s a unimodular constant) samples as
     # rounding noise; below the noise bound the matrix is numerically zero
     # and carries no asymmetry information.
-    noise = 256.0 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(sv))) ** 2)
+    noise = 256.0 * np.finfo(float).eps * (1.0 + peak**2)
     noise /= dmin
     np.subtract(raw, adj, out=adj)
     asym = float(np.abs(adj, out=mag).max(initial=0.0))

@@ -14,6 +14,13 @@ come back as np.complex128. Products are np.convolve and sums a padded add,
 on the operands numpy.polynomial would use. Arrays of points are evaluated
 by numpy.polynomial, whose array loop may round differently in the last bits
 from the scalar recurrence.
+
+A rational function is treated as immutable, so what is derived from it is
+computed once and kept on it: its poles, its numerator and denominator
+shifted to the last expansion centre with the longest Taylor series computed
+there (shorter orders are slices of it, and the vanishing order reads the
+same shift), and the parameter `recover_parameter` found for it under one
+coefficient matrix. Reassigning `num` or `den` is unsupported.
 """
 
 from __future__ import annotations
@@ -121,6 +128,16 @@ def _deflate(a, c):
         q[j] = b
         b = coeffs[j] + c * b
     return np.array(q, dtype=complex), np.complex128(b)
+
+
+def _valuation(b):
+    """Index of the first coefficient of the nonempty shifted array `b` above
+    ORDER_TOL times its largest magnitude (the last index if none is)."""
+    cut = ORDER_TOL * float(np.max(np.abs(b)))
+    for j, v in enumerate(b):
+        if abs(v) > cut:
+            return j
+    return b.size - 1
 
 
 class Poly:
@@ -275,12 +292,7 @@ class Poly:
         """Order of vanishing at `center` (INF for the zero polynomial)."""
         if self.is_zero:
             return INF
-        b = self.shifted(center)
-        cut = ORDER_TOL * float(np.max(np.abs(b)))
-        for j, v in enumerate(b):
-            if abs(v) > cut:
-                return j
-        return self.coeffs.size - 1
+        return _valuation(self.shifted(center))
 
     def allclose(self, other, tol=1e-12):
         q = self._coerce(other)
@@ -373,9 +385,14 @@ def _reduce_fraction(num, den):
 
 
 class RationalFn:
-    """Reduced quotient of two complex polynomials with a monic denominator."""
+    """Reduced quotient of two complex polynomials with a monic denominator.
 
-    __slots__ = ("num", "den", "_poles")
+    Treated as immutable: `num` and `den` are not reassigned or written
+    after construction, since what is derived from them is kept on the
+    object (see the module docstring).
+    """
+
+    __slots__ = ("num", "den", "_poles", "_center", "_shift", "_series", "_recovered")
 
     def __init__(self, num, den=1.0, *, reduce=True):
         pn = num if isinstance(num, Poly) else Poly(num)
@@ -397,6 +414,10 @@ class RationalFn:
                 f"degree {max(self.num.degree, self.den.degree)} exceeds cap {MAX_DEGREE}"
             )
         self._poles = None
+        self._center = None
+        self._shift = None
+        self._series = None
+        self._recovered = None
 
     @classmethod
     def constant(cls, c):
@@ -488,31 +509,48 @@ class RationalFn:
             return NotImplemented
         return g / self
 
+    def _shifted(self, center):
+        """Numerator and denominator in powers of (z - center).
+
+        Kept for the last centre asked (compared bit for bit); a new centre
+        replaces them and empties the kept Taylor series.
+        """
+        c = complex(center)
+        key = (c.real.hex(), c.imag.hex())
+        if key != self._center:
+            self._shift = (self.num.shifted(c), self.den.shifted(c))
+            self._series = []
+            self._center = key
+        return self._shift
+
     def taylor(self, center, order):
         """Taylor coefficients c_0..c_order of the function at `center`.
 
         Computed by shifting numerator and denominator to powers of
-        (z - center) and dividing the power series.
+        (z - center) and dividing the power series. Coefficient m depends
+        only on the first m + 1 shifted coefficients of each, so the longest
+        series computed at the last centre is kept: a shorter order is a
+        slice of it and a longer one continues the division.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
         n = order + 1
         if self.num.is_zero:
             return np.zeros(n, dtype=complex)
-        b = self.den.shifted(center)
-        if abs(b[0]) <= ROOT_TOL * float(np.max(np.abs(b))):
-            raise PoleAtExpansionPoint(f"denominator vanishes at {center}")
-        a = self.num.shifted(center)
-        A = a[:n].tolist() + [0j] * (n - a.size)
-        B = b[:n].tolist() + [0j] * (n - b.size)
-        b0 = b[0]
-        c = []
-        for m in range(n):
-            acc = A[m]
-            for i in range(1, m + 1):
-                acc = acc - B[i] * c[m - i]
-            c.append(complex(np.complex128(acc) / b0))
-        return np.array(c, dtype=complex)
+        a, b = self._shifted(center)
+        c = self._series
+        if len(c) < n:
+            if not c and abs(b[0]) <= ROOT_TOL * float(np.max(np.abs(b))):
+                raise PoleAtExpansionPoint(f"denominator vanishes at {center}")
+            A = a[:n].tolist() + [0j] * (n - a.size)
+            B = b[:n].tolist() + [0j] * (n - b.size)
+            b0 = b[0]
+            for m in range(len(c), n):
+                acc = A[m]
+                for i in range(1, m + 1):
+                    acc = acc - B[i] * c[m - i]
+                c.append(complex(np.complex128(acc) / b0))
+        return np.array(c[:n], dtype=complex)
 
     def vanishing_order(self, center):
         """Smallest Taylor index with |c_j| above ORDER_TOL at `center`.
@@ -522,7 +560,8 @@ class RationalFn:
         """
         if self.num.is_zero:
             return INF
-        return self.num.valuation(center) - self.den.valuation(center)
+        a, b = self._shifted(center)
+        return _valuation(a) - _valuation(b)
 
     def allclose(self, other, tol=1e-9):
         g = self._coerce(other)

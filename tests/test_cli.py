@@ -96,6 +96,12 @@ class TestNegsq:
         assert rep["estimated_negative_squares"] == 1
         assert rep["krein_langer"]["blaschke_order"] == 1
 
+    def test_overflowing_samples_exit_2(self, tmp_path, capsys):
+        f = {"num": [[1e200, 0], [1e200, 0]], "den": [[1, 0]]}
+        code, rep = run_json(["negsq", write(tmp_path, "f.json", f)], capsys)
+        assert code == 2 and rep["status"] == "error"
+        assert rep["type"] == "NotHermitian" and "overflow" in rep["error"]
+
     def test_identity(self, tmp_path, capsys):
         f = {"num": [[0, 0], [1, 0]], "den": [[1, 0]]}
         code, rep = run_json(["negsq", write(tmp_path, "f.json", f)], capsys)

@@ -12,6 +12,7 @@ from schurkit.errors import (
     InvalidProblemData,
     NonHermitianPick,
     PoleAtExpansionPoint,
+    SchurkitError,
     SingularPick,
     VerificationError,
 )
@@ -518,6 +519,98 @@ class TestRecover:
                 a = np.pad(mine.coeffs, (0, n - mine.coeffs.size))
                 b = np.pad(ref.coeffs, (0, n - ref.coeffs.size))
                 assert np.max(np.abs(a - b), initial=0.0) <= 1e-9
+
+
+@pytest.fixture
+def recoveries(monkeypatch):
+    """Number of full parameter recoveries run during the test."""
+    count = [0]
+    recover = interpolation._recover
+
+    def counted(*args):
+        count[0] += 1
+        return recover(*args)
+
+    monkeypatch.setattr(interpolation, "_recover", counted)
+    return count
+
+
+class TestRecoveryMemo:
+    """recover_parameter keeps a parameter that passes on the solution, for
+    the coefficient matrix and datum it was recovered for."""
+
+    def test_second_call_returns_the_same_object(self, recoveries):
+        cm = coeff_matrix(DK2)
+        s = solve(DK2, RationalFn.constant(0.5), theta=cm)
+        s1 = recover_parameter(s, DK2, theta=cm)
+        assert recover_parameter(s, DK2, theta=cm) is s1
+        assert recover_parameter(s, DK2) is s1
+        assert recoveries[0] == 1
+
+    def test_replaced_datum_recomputes(self, recoveries):
+        s = solve(DK2, RationalFn.constant(0.5))
+        s1 = recover_parameter(s, DK2)
+        other = replace(DK2)
+        assert coeff_matrix(other) is not coeff_matrix(DK2)
+        again = recover_parameter(s, other)
+        assert again is not s1 and recoveries[0] == 2
+        for mine, ref in ((again.num, s1.num), (again.den, s1.den)):
+            assert mine.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    def test_matrix_of_another_datum_recomputes(self, recoveries):
+        s = solve(DK2, RationalFn.constant(0.5))
+        recover_parameter(s, DK2)
+        recover_parameter(s, replace(DK2), theta=coeff_matrix(DK2))
+        assert recoveries[0] == 2
+
+    def test_round_trip_failure_raises_on_every_call(self, recoveries):
+        # Within ORDER_TOL of a solution, so j = 2k, but the coefficient of
+        # (z - 1)^3 is 9e-8 off: dividing out (z - 1)^4 drops that remainder.
+        s = solve(DK2, RationalFn.constant(0.0))
+        s = RationalFn(s.num + Poly([-1, 1]) ** 3 * 9e-8 * s.den, s.den, reduce=False)
+        assert verify_expansion(s, DK2).passed
+        for _ in range(2):
+            with pytest.raises(VerificationError, match="round trip"):
+                recover_parameter(s, DK2)
+        assert recoveries[0] == 2
+
+
+class TestOneExpansionPerSolution:
+    """One boundary op in the benchmark's order expands the solution at z1
+    once and recovers its parameter once.
+
+    Each stage may raise a SchurkitError, as in the benchmark (at k >= 6
+    some solutions fail the expansion check); the counts hold either way.
+    """
+
+    @staticmethod
+    def stage(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except SchurkitError as exc:
+            return exc
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_work_count(self, monkeypatch, recoveries, k):
+        rng = np.random.default_rng(6100 + k)
+        data = random_interp_data(rng, k, min_ratio=0.3 if k < 6 else 1e-3)
+        s1 = random_admissible_parameter(rng, data)
+        shifts = []
+        shifted = Poly.shifted
+
+        def counted_shift(self, center):
+            shifts.append((self, complex(center)))
+            return shifted(self, center)
+
+        monkeypatch.setattr(Poly, "shifted", counted_shift)
+        cm = coeff_matrix(data)
+        s = solve(data, s1, theta=cm, verify=False)
+        self.stage(verify_expansion, s, data)
+        self.stage(recover_parameter, s, data, theta=cm)
+        self.stage(rigidity_check, data, -data.tau0, s)
+        for part in (s.num, s.den):
+            assert sum(p is part and c == data.z1 for p, c in shifts) == 1
+        assert recoveries[0] == 1
 
 
 class TestClosedForm:

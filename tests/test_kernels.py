@@ -88,6 +88,33 @@ class TestGram:
         assert g.asymmetry < 1e-13
 
 
+class TestGramOverflow:
+    """Samples whose squared modulus overflows a double raise NotHermitian
+    naming the overflow; one at the largest modulus that squares finitely
+    still samples."""
+
+    ROOT_MAX = math.sqrt(np.finfo(float).max)
+
+    def test_overflowing_samples_raise(self):
+        big = RationalFn(Poly([1e200, 1e200]), Poly.one(), reduce=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian, match="overflow"):
+                gram_matrix(big, [0.1, 0.4j])
+            with pytest.raises(NotHermitian, match="overflow"):
+                estimate_negative_squares(big, FAST)
+
+    def test_threshold_is_the_first_overflowing_square(self):
+        points = [0.1, 0.4j]
+        edge = gram_matrix(RationalFn.constant(self.ROOT_MAX), points)
+        assert edge.noise < np.inf
+        above = math.nextafter(self.ROOT_MAX, math.inf)
+        with pytest.raises(OverflowError):
+            above**2
+        with pytest.raises(NotHermitian, match="overflow"):
+            gram_matrix(RationalFn.constant(above), points)
+
+
 class TestInertia:
     def test_signature(self):
         res = inertia(np.diag([1.0, -1.0]))

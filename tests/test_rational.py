@@ -465,6 +465,107 @@ class TestScalarCoreBitwise:
             assert same_bits(m.eval(z), np.array(entries, dtype=complex))
 
 
+def expansion_cache_fn():
+    """A fresh object: (1 + 0.3z - 0.2i z^3) / ((1 - 0.5z)(1 + 0.25i z))."""
+    return RationalFn(Poly([1, 0.3, 0, -0.2j]), Poly([1, -0.5]) * Poly([1, 0.25j]), reduce=False)
+
+
+class TestExpansionCache:
+    """taylor and vanishing_order keep the last centre's shift and the
+    longest series on the object; every answer equals a fresh object's bit
+    for bit."""
+
+    CENTRES = (1.0, complex(math.cos(0.7), math.sin(0.7)))
+
+    @staticmethod
+    def fresh_taylor(centre, order):
+        return expansion_cache_fn().taylor(centre, order)
+
+    @pytest.mark.parametrize("orders", [(3, 11), (11, 3), (0, 5, 2, 16, 7)])
+    def test_orders_in_turn(self, orders):
+        f = expansion_cache_fn()
+        for order in orders:
+            assert same_bits(f.taylor(1.0, order), self.fresh_taylor(1.0, order))
+
+    def test_two_centres_in_turn(self):
+        f = expansion_cache_fn()
+        for centre, order in zip(self.CENTRES * 2, (4, 9, 12, 2)):
+            assert same_bits(f.taylor(centre, order), self.fresh_taylor(centre, order))
+
+    def test_signed_zeros_are_distinct_centres(self):
+        # Centres 1 + 0i and 1 - 0i compare equal but expand this function
+        # to coefficients whose zeros differ in sign.
+        def make():
+            num = [-2 + 1j, complex(1, -0.0), complex(2, -0.0), complex(1, -0.0)]
+            return RationalFn(Poly(num), Poly.one(), reduce=False)
+
+        plus, minus = complex(1.0, 0.0), complex(1.0, -0.0)
+        assert not same_bits(make().taylor(plus, 4), make().taylor(minus, 4))
+        f = make()
+        for centre in (plus, minus, plus):
+            assert same_bits(f.taylor(centre, 4), make().taylor(centre, 4))
+
+    def test_vanishing_order_after_taylor(self):
+        g = expansion_cache_fn() - expansion_cache_fn().taylor(1.0, 0)[0]
+        order = RationalFn(g.num, g.den, reduce=False).vanishing_order(1.0)
+        assert order == 1
+        g.taylor(1.0, 8)
+        assert g.vanishing_order(1.0) == order
+        g.taylor(self.CENTRES[1], 3)
+        assert g.vanishing_order(1.0) == order
+
+    def test_taylor_after_vanishing_order(self):
+        f = expansion_cache_fn()
+        assert f.vanishing_order(1.0) == 0
+        assert same_bits(f.taylor(1.0, 10), self.fresh_taylor(1.0, 10))
+
+    def test_returned_array_is_the_callers(self):
+        f = expansion_cache_fn()
+        first = f.taylor(1.0, 8)
+        reference = first.copy()
+        first[:] = 99.0
+        assert same_bits(f.taylor(1.0, 8), reference)
+        assert same_bits(f.taylor(1.0, 4), reference[:5])
+
+    def test_pole_raises_on_every_call(self):
+        f = fn([1], [-0.5, 1])
+        for order in (3, 3, 0):
+            with pytest.raises(PoleAtExpansionPoint):
+                f.taylor(0.5, order)
+        assert f.vanishing_order(0.5) == -1
+
+    @_bitwise
+    @given(
+        _coeffs,
+        _coeffs,
+        st.lists(st.tuples(st.booleans(), st.integers(0, 16)), min_size=2, max_size=5),
+        _centres,
+        _centres,
+    )
+    def test_call_sequences(self, num, den, calls, c0, c1):
+        if Poly(num).is_zero or Poly(den).is_zero:
+            return
+
+        def make():
+            return RationalFn(Poly(num), Poly(den), reduce=False)
+
+        def outcome(f, centre, order):
+            try:
+                return f.taylor(centre, order)
+            except PoleAtExpansionPoint:
+                return "pole"
+
+        f = make()
+        for second, order in calls:
+            centre = c1 if second else c0
+            got, ref = outcome(f, centre, order), outcome(make(), centre, order)
+            if isinstance(ref, str):
+                assert isinstance(got, str)
+            else:
+                assert same_bits(got, ref)
+            assert f.vanishing_order(centre) == make().vanishing_order(centre)
+
+
 class TestScalarCoreContract:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_raises_value_error(self):

@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
-from conftest import random_admissible_parameter, random_blaschke, unimodular
+from conftest import (
+    random_admissible_parameter,
+    random_blaschke,
+    random_interp_data,
+    unimodular,
+)
 from schurkit.errors import (
     HypothesisNotMet,
     InvalidContactPoint,
     ModulusAtLeastOne,
     NotSchur,
 )
-from schurkit.interpolation import InterpData, solve
+from schurkit.interpolation import InterpData, coeff_matrix, recover_parameter, solve
 from schurkit.rational import INF, Poly, RationalFn
 from schurkit.rigidity import (
     PathSpec,
@@ -197,6 +202,21 @@ class TestRigidityCheck:
                 v = rigidity_check(data, -1.0, s)
                 identical = (s1 - (-1.0)).is_zero
                 assert v.forced_identity == identical
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_verdict_independent_of_an_earlier_recovery(self, k):
+        # Two equal solutions: one recovered first, one not. The verdict,
+        # residual report included, must not depend on the kept parameter.
+        rng = np.random.default_rng(7300 + k)
+        data = random_interp_data(rng, k)
+        cm = coeff_matrix(data)
+        x = -data.tau0
+        for s1 in (random_admissible_parameter(rng, data), RationalFn.constant(x)):
+            plain, recovered = solve(data, s1, theta=cm), solve(data, s1, theta=cm)
+            recover_parameter(recovered, data, theta=cm)
+            v_plain, v_recovered = rigidity_check(data, x, plain), rigidity_check(data, x, recovered)
+            assert v_plain == v_recovered
+            assert "deviates from x" in v_plain.residual_report or v_plain.forced_identity
 
     def test_contact_order_of_an_ill_conditioned_solution(self):
         # A k = 4 solution for a parameter other than x, so its contact with
