@@ -164,11 +164,6 @@ def pick_matrix(data):
     return P
 
 
-def _node_factor(data, power):
-    """(1 - conj(z1) z)^power as an exact polynomial."""
-    return Poly((1.0, -np.conj(data.z1))) ** power
-
-
 def pick_polynomial(data):
     """Polynomial p of degree <= k-1 with p(z1) != 0 that generates the
     coefficient matrix.
@@ -201,13 +196,15 @@ class CoeffMatrix:
 
     mat is [[1-theta, tau0*theta], [-conj(tau0)*theta, 1+theta]] = I - theta u u* J
     where theta(z) = (1 - z conj(z0)) p(z) / (1 - z conj(z1))^k and `neutral` is
-    the J-neutral u = (1, conj(tau0)). So det(mat) = 1 + (|tau0|^2 - 1) theta^2 = 1
-    and mat J mat* = J - 2 Re(theta) u u*, which is J where Re(theta) = 0.
+    the J-neutral u = (1, conj(tau0)). So det(mat) = 1 + (|tau0|^2 - 1) theta^2 = 1,
+    the inverse is I + theta u u* J, and mat J mat* = J - 2 Re(theta) u u*,
+    which is J where Re(theta) = 0.
 
-    The entries share the denominator D = (1 - z conj(z1))^k, so the matrix
-    of entry numerators has determinant D^2: a transform's numerator and
-    denominator can only share powers of (z - z1), which are divided out
-    exactly instead of by a generic reduction.
+    The matrix acts only as that rank-one update (`_transform`), three
+    polynomial products: for theta = w / D it sends n / d to
+    (D n - g) / (D d - conj(tau0) g) with g = w (n - tau0 d). As a map of
+    (n, d) it has determinant D^2, so the pair can share only powers of
+    (z - z1), which are divided out exactly instead of by a generic reduction.
     """
 
     data: InterpData
@@ -217,28 +214,38 @@ class CoeffMatrix:
     mat: Mat2RF
     neutral: np.ndarray = field(repr=False)
 
+    def _transform(self, n, d, sign):
+        """D (I + sign theta u u* J) (n, d) = (D n + sign g, D d + sign conj(tau0) g)
+        with g = w (n - tau0 d), for polynomials n, d and theta = w / D. Sign +1
+        (inverse and adjugate) takes u J-neutral: |tau0| = 1 within CIRCLE_TOL."""
+        w, D, tau0 = self.theta.num, self.theta.den, self.data.tau0
+        g = w * (n + Poly(d.coeffs * -tau0, trim=False))
+        if sign < 0:
+            g = -g
+        return D * n + g, D * d + Poly(g.coeffs * tau0.conjugate(), trim=False)
+
     def apply(self, s):
-        """Transform (a s + b) / (c s + d) of a parameter.
+        """The solution (D n - g) / (D d - conj(tau0) g) of a parameter n / d.
 
         For an admissible parameter the polynomial pair is already coprime.
         Otherwise the shared power of (z - z1) is the number of leading
-        Taylor coefficients the parameter shares with -d/c, the parameter
-        sent to infinity.
+        Taylor coefficients the parameter shares with the parameter sent to
+        infinity, the inverse transform (D + w) / (conj(tau0) w) of 1 / 0.
         """
         s = as_rational(s)
-        m = self.mat
-        top = m.a.num * s.num + m.b.num * s.den
-        bot = m.c.num * s.num + m.d.num * s.den
+        top, bot = self._transform(s.num, s.den, -1)
         if bot.is_zero:
             raise DegenerateLFT("transform denominator is identically zero")
         j = 0
         if not admissible_parameter(s, self.data)[0]:
-            pole = RationalFn(-m.d.num, m.c.num, reduce=False)
+            pole = RationalFn(*self._transform(Poly.one(), Poly.zero(), +1), reduce=False)
             j = _node_contact(s, self.data.z1, pole.taylor(self.data.z1, 2 * self.data.k - 1))
         return _divide_node(top, bot, self.data.z1, j)
 
     def eval(self, z):
-        return self.mat.eval(z)
+        """I - theta(z) u u* J at a point: the transforms of I's columns over D(z)."""
+        cols = [self._transform(Poly(e[0]), Poly(e[1]), -1) for e in np.eye(2)]
+        return np.array([[p(z) for p in col] for col in cols]).T / self.theta.den(z)
 
 
 def coeff_matrix(data):
@@ -262,7 +269,7 @@ def coeff_matrix(data):
     p = pick_polynomial(data)
     # Coprime: p(z1) != 0 and z0 != z1.
     weight = Poly((1.0, -np.conj(data.z0))) * p
-    theta = RationalFn(weight, _node_factor(data, data.k), reduce=False)
+    theta = RationalFn(weight, Poly((1.0, -np.conj(data.z1))) ** data.k, reduce=False)
     # Entries 1 -+ theta and +-tau0 theta, all over the denominator of theta.
     a = RationalFn(theta.den - theta.num, theta.den, reduce=False)
     b = RationalFn(theta.num * data.tau0, theta.den, reduce=False)
@@ -381,8 +388,8 @@ def solve(data, s1, *, theta=None, verify=True):
 def recover_parameter(s, data, *, theta=None):
     """Invert the parametrization: the parameter whose transform is s.
 
-    The inverse transform uses the adjugate (determinant is identically 1).
-    Its numerator and denominator share (z - z1)^j, where j is the number of
+    The inverse transform is the rank-one update I + theta u u* J, the
+    adjugate. Its numerator and denominator share (z - z1)^j, j the number of
     leading datum coefficients s matches (2k for a solution); that factor is
     divided out exactly. The result is round-trip checked by evaluation.
 
@@ -402,9 +409,7 @@ def recover_parameter(s, data, *, theta=None):
 
 def _recover(s, data, cm):
     """The parameter recover_parameter returns, computed afresh."""
-    m = cm.mat
-    top = m.d.num * s.num - m.b.num * s.den
-    bot = m.a.num * s.den - m.c.num * s.num
+    top, bot = cm._transform(s.num, s.den, +1)
     if bot.is_zero:
         raise DegenerateLFT("s is the transform of the parameter infinity")
     j = _node_contact(s, data.z1, data.expected_coefficients())
@@ -423,21 +428,22 @@ def denominator_closed_form(s1, data):
         ((1-z conj(z1))^k - conj(tau0) (1-z conj(z0)) p(z) (s1 - tau0))
         / (1-z conj(z1))^k
 
-    Asserts agreement with the direct c*s1 + d and, for admissible s1, that
-    the numerator does not vanish at z1.
+    Its numerator times the denominator of s1 is the denominator of
+    CoeffMatrix.apply; it shares (z - z1)^j with (1-z conj(z1))^k, j <= k the
+    number of leading Taylor coefficients s1 shares with the constant tau0,
+    which is divided out exactly. Asserts agreement with the direct c*s1 + d
+    and, for admissible s1, that the numerator does not vanish at z1.
     """
     s1 = as_rational(s1)
     cm = coeff_matrix(data)
-    node = RationalFn(_node_factor(data, data.k), Poly.one(), reduce=False)
-    weight = RationalFn(Poly((1.0, -np.conj(data.z0))) * cm.poly, Poly.one(), reduce=False)
-    numerator = node - weight * (s1 - data.tau0) * np.conj(data.tau0)
-    closed = numerator / node
+    _, numerator = cm._transform(s1.num, s1.den, -1)
+    j = _node_contact(s1, data.z1, data.expected_coefficients()[: data.k])
+    closed = _divide_node(numerator, cm.theta.den * s1.den, data.z1, j)
     direct = cm.mat.c * s1 + cm.mat.d
     scale = float(np.max(np.abs(np.concatenate([direct.num.coeffs, direct.den.coeffs]))))
     if not closed.allclose(direct, 1e-8 * max(1.0, scale)):
         raise VerificationError("closed form disagrees with direct c*s1 + d")
-    ok, _ = admissible_parameter(s1, data)
-    if ok and numerator.vanishing_order(data.z1) > 0:
+    if admissible_parameter(s1, data)[0] and numerator.valuation(data.z1) > 0:
         raise VerificationError("transform denominator degenerates at z1")
     return closed
 

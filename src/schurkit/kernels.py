@@ -18,7 +18,7 @@ from .errors import (
     PoleProximity,
 )
 from .rational import RationalFn, as_rational
-from .tolerances import DIAG_TOL, HERM_TOL, POLE_CLEARANCE
+from .tolerances import DIAG_TOL, HERM_TOL, POLE_CLEARANCE, SAMPLE_CLEARANCE
 
 __all__ = [
     "HermitianSample",
@@ -64,15 +64,12 @@ class SamplePlan:
 
     max_points: int = 256
     radius: float = 0.9
-    pole_clearance: float = 0.05
     seed: int = 74010
     initial_points: int = 8
 
     def __post_init__(self):
         if not 0.0 < self.radius < 1.0:
             raise ValueError("radius must lie in (0, 1)")
-        if not 0.0 < self.pole_clearance < np.inf:
-            raise ValueError("pole clearance must be positive and finite")
         if self.initial_points < 2 or self.max_points < self.initial_points:
             raise ValueError("need initial_points >= 2 and max_points >= initial_points")
 
@@ -88,7 +85,7 @@ def _pole_distance(poles, pts):
     return np.abs(pts[:, None] - poles).min(axis=1)
 
 
-def schur_kernel(s, z, w, *, pole_clearance=POLE_CLEARANCE):
+def schur_kernel(s, z, w):
     """Evaluate (1 - s(z) conj(s(w))) / (1 - z conj(w)) at one pair of points."""
     s = as_rational(s)
     z = complex(z)
@@ -96,7 +93,7 @@ def schur_kernel(s, z, w, *, pole_clearance=POLE_CLEARANCE):
     d = 1.0 - z * np.conj(w)
     if abs(d) <= DIAG_TOL * (1.0 + abs(z) * abs(w)):
         raise DiagonalSingularity(f"1 - z*conj(w) vanishes at z={z}, w={w}")
-    if min(_pole_distance(s.poles(), np.array([z, w]))) <= pole_clearance:
+    if min(_pole_distance(s.poles(), np.array([z, w]))) <= POLE_CLEARANCE:
         raise PoleProximity("evaluation point too close to a pole")
     return (1.0 - s(z) * np.conj(s(w))) / d
 
@@ -104,8 +101,8 @@ def schur_kernel(s, z, w, *, pole_clearance=POLE_CLEARANCE):
 def gram_matrix(s, points):
     """Sampled kernel Gram matrix, symmetrized, with the asymmetry reported.
 
-    Raises NotHermitian when |s| on the sample exceeds the square root of
-    the largest double, where the kernel's entries overflow.
+    Raises NotHermitian when |s| on the sample exceeds the square root of the
+    largest double, where its entries overflow. No points give a 0 x 0 sample.
     """
     s = as_rational(s)
     pts = np.asarray(points, dtype=complex).ravel()
@@ -116,11 +113,11 @@ def gram_matrix(s, points):
     denom = np.outer(pts, pts.conj())
     np.subtract(1.0, denom, out=denom)
     mag = np.abs(denom)
-    dmin = float(mag.min())
-    if dmin <= DIAG_TOL * (1.0 + np.max(np.abs(pts)) ** 2):
+    dmin = float(mag.min(initial=np.inf))
+    if dmin <= DIAG_TOL * (1.0 + np.max(np.abs(pts), initial=0.0) ** 2):
         raise DiagonalSingularity("points z, w with z*conj(w) = 1 in the sample")
     sv = s(pts)
-    peak = float(np.max(np.abs(sv)))
+    peak = float(np.max(np.abs(sv), initial=0.0))
     if peak > _SQRT_MAX:
         raise NotHermitian(f"kernel samples overflow: |s| reaches {peak:.3g} on the sample")
     raw = np.outer(sv, sv.conj())
@@ -152,8 +149,8 @@ def inertia(sample):
 
     The zero band has half-width 1e-10 * n * max|entry| to absorb eigenvalue
     rounding; a sampled Gram matrix must be Hermitian within HERM_TOL. A raw
-    array with a NaN or infinite entry, or a sample whose asymmetry is NaN,
-    raises NotHermitian: its eigenvalues cannot be counted.
+    array that is not square or has a NaN or infinite entry, or a sample
+    with NaN asymmetry, raises NotHermitian: it has no countable eigenvalues.
     """
     noise = 0.0
     if isinstance(sample, HermitianSample):
@@ -163,6 +160,8 @@ def inertia(sample):
         noise = sample.noise
     else:
         H = np.asarray(sample, dtype=complex)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise NotHermitian(f"array of shape {H.shape} is not a square matrix")
         if not np.isfinite(H).all():
             raise NotHermitian("matrix has a NaN or infinite entry")
         scale = float(np.max(np.abs(H), initial=0.0))
@@ -233,7 +232,7 @@ def estimate_negative_squares(s, plan=SamplePlan()):
 
     Seeds the point set with a few probes near each disk pole (where the
     negative directions of the kernel live), then draws seeded random points
-    in a disk of the plan's radius (avoiding poles by the plan's clearance),
+    in a disk of the plan's radius (avoiding poles by SAMPLE_CLEARANCE),
     doubling the nested point set each round; returns the largest negative
     count once it has not changed for 3 consecutive rounds. This is a
     lower-bound estimator: sampling can only certify negative squares it has
@@ -243,12 +242,12 @@ def estimate_negative_squares(s, plan=SamplePlan()):
     s = as_rational(s)
     rng = np.random.default_rng(plan.seed)
     poles = s.poles()
-    pts: list[complex] = _pole_probes(poles, plan.pole_clearance)
+    pts: list[complex] = _pole_probes(poles, SAMPLE_CLEARANCE)
     best = 0
     stable = 0
     count = plan.initial_points
     while True:
-        pts = _draw_points(rng, count, plan.radius, plan.pole_clearance, poles, pts)
+        pts = _draw_points(rng, count, plan.radius, SAMPLE_CLEARANCE, poles, pts)
         result = inertia(gram_matrix(s, pts))
         if result.n_neg > best:
             best = result.n_neg

@@ -637,17 +637,13 @@ class BlaschkeProduct:
 class Mat2RF:
     """2x2 matrix of rational functions acting by linear-fractional transform."""
 
-    __slots__ = ("a", "b", "c", "d", "_den")
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
         self.a = as_rational(a)
         self.b = as_rational(b)
         self.c = as_rational(c)
         self.d = as_rational(d)
-        # The denominator all four entries share, bit for bit, if they do.
-        den = self.a.den.coeffs.tobytes()
-        same = all(e.den.coeffs.tobytes() == den for e in (self.b, self.c, self.d))
-        self._den = self.a.den if same else None
 
     @classmethod
     def identity(cls):
@@ -662,12 +658,7 @@ class Mat2RF:
         return (self.a, self.b, self.c, self.d)
 
     def eval(self, z):
-        if self._den is None:
-            values = [e(z) for e in self.entries()]
-        else:
-            den = self._den(z)
-            values = [e.num(z) / den for e in self.entries()]
-        return np.array(values, dtype=complex).reshape(2, 2)
+        return np.array([e(z) for e in self.entries()], dtype=complex).reshape(2, 2)
 
     def apply(self, s):
         """(a*s + b) / (c*s + d), fully reduced."""

@@ -262,10 +262,10 @@ def rigidity_check(data, x, s):
     )
 
 
-def polar_grid(n_radii=40, n_angles=40, r_max=0.995):
-    """Default polar grid for disk-wide inequality checks."""
-    radii = np.linspace(r_max / n_radii, r_max, n_radii)
-    angles = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+def polar_grid():
+    """Polar grid of 40 radii up to 0.995 by 40 angles for disk-wide checks."""
+    radii = np.linspace(0.995 / 40, 0.995, 40)
+    angles = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 

@@ -67,7 +67,7 @@ class TestKernelEval:
 
     def test_pole_proximity(self):
         with pytest.raises(PoleProximity):
-            schur_kernel(RECIP, 1e-12, 0.5, pole_clearance=1e-6)
+            schur_kernel(RECIP, 1e-12, 0.5)
 
 
 class TestGram:
@@ -177,6 +177,23 @@ class TestInertia:
         with pytest.raises(NotHermitian):
             inertia(sample)
 
+    def test_rejects_vector(self):
+        with pytest.raises(NotHermitian, match="square"):
+            inertia(np.ones(3))
+
+    def test_rejects_rectangular_array(self):
+        with pytest.raises(NotHermitian, match="square"):
+            inertia(np.ones((2, 3)))
+
+    def test_rejects_scalar(self):
+        with pytest.raises(NotHermitian, match="square"):
+            inertia(5.0)
+
+    def test_empty_gram_sample(self):
+        g = gram_matrix(RECIP, [])
+        assert g.entries.shape == (0, 0)
+        assert inertia(g) == Inertia(0, 0, 0) == inertia(np.zeros((0, 0)))
+
 
 class TestEstimator:
     def test_schur_gives_zero(self):
@@ -237,12 +254,7 @@ class TestEstimator:
         from schurkit.errors import NoAnalyticPoints
 
         with pytest.raises(NoAnalyticPoints):
-            estimate_negative_squares(RECIP, SamplePlan(pole_clearance=5.0))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
-    def test_plan_rejects_bad_clearance(self, bad):
-        with pytest.raises(ValueError, match="pole clearance"):
-            SamplePlan(pole_clearance=bad)
+            estimate_negative_squares(RECIP, SamplePlan(radius=1e-3))
 
 
 # Reference copies of the one-point-at-a-time sampler and the allocating Gram

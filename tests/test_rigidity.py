@@ -397,7 +397,9 @@ class TestCayleyDecomposition:
         # beta small enough that the horocycle condition still fails but the
         # remainder keeps nonnegative real part where s is inside the disk
         f, f1, r = cayley_decomposition(affine(0.35), 0.35)
-        for z in polar_grid(10, 12, 0.9):
+        radii = np.linspace(0.09, 0.9, 10)
+        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        for z in (radii[:, None] * np.exp(1j * angles[None, :])).ravel():
             assert r(z).real >= -1e-12
 
     def test_alpha_out_of_range(self):

@@ -27,17 +27,9 @@ EXPECTED = {
     "interpolation.recover_parameter": ["theta"],
     "interpolation.solution_negative_squares": ["plan"],
     "kernels.HermitianSample.__init__": ["noise"],
-    "kernels.SamplePlan.__init__": [
-        "max_points",
-        "radius",
-        "pole_clearance",
-        "seed",
-        "initial_points",
-    ],
-    "kernels.schur_kernel": ["pole_clearance"],
+    "kernels.SamplePlan.__init__": ["max_points", "radius", "seed", "initial_points"],
     "kernels.estimate_negative_squares": ["plan"],
     "rigidity.PathSpec.__init__": ["z1", "angle", "r0", "ratio", "count"],
-    "rigidity.polar_grid": ["n_radii", "n_angles", "r_max"],
 }
 
 
@@ -111,7 +103,7 @@ ATTRIBUTES = {
     "CoeffMatrix": ["apply", "data", "eval", "mat", "neutral", "pick", "poly", "theta"],
     "HermitianSample": ["asymmetry", "entries", "noise", "points"],
     "Inertia": ["n_neg", "n_pos", "n_zero"],
-    "SamplePlan": ["initial_points", "max_points", "pole_clearance", "radius", "seed"],
+    "SamplePlan": ["initial_points", "max_points", "radius", "seed"],
     "PathSpec": ["angle", "count", "r0", "ratio", "stolz_constant", "z1"],
     "RigidityVerdict": ["forced_identity", "observed_order", "required_order", "residual_report"],
     "ContactReport": ["identical", "message", "order"],

@@ -1,6 +1,6 @@
 """Fingerprint the library's answers on the benchmark's decks.
 
-    python3 tools/fingerprint.py --seeds 1 2 3 --cycles 0 1 2 [--workloads interp negsq cli] [--per-op]
+    python3 tools/fingerprint.py --seeds 1 2 3 --cycles 0 1 2 [--workloads interp negsq cli] [--per-op] [--failures]
 
 Run from the root of a source checkout: the library is imported from ./src
 and the decks from ./bench/workloads.py, which is only imported, never
@@ -15,6 +15,13 @@ hashed. Two checkouts whose digests agree gave bit-identical answers.
 With --per-op, each op's own SHA-256 (over the same bytes) is printed too,
 one line per op ahead of its workload's line, so the output of two checkouts
 can be diffed op by op to find the ops whose answers moved.
+
+With --failures, each op's own `check` also runs once on its result (an op
+that raises fails with the exception, as in `bench/run.py`), and for each
+seed the workload's failed/attempted ops are printed over the given cycles,
+with the failed checks counted by stage (the text of a check before its
+first colon) and the failed ops counted by kind (the op label without its
+`key=value` words, except `k=` and `kappa=`). A last line sums the seeds.
 """
 
 import os
@@ -32,6 +39,7 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 import types  # noqa: E402
 import warnings  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -88,13 +96,33 @@ def feed(h, value):
         raise TypeError(f"no encoding for {type(value).__name__}")
 
 
-def digest(workloads, workload, seeds, cycles, workdir):
-    """(number of ops, SHA-256 hex digest, per-op lines) over the decks of
-    seeds x cycles; `cli` fixture files go under `workdir`."""
+def kind(label):
+    """An op label without its values, but for the contact order k and the
+    negative-squares index kappa."""
+    words = label.split()
+    return " ".join(w for w in words if "=" not in w or w.split("=")[0] in ("k", "kappa"))
+
+
+def failure_lines(workload, seed, checked):
+    """Report lines of one seed's (label, problems) pairs."""
+    stages = Counter(p.split(":")[0] for _, problems in checked for p in problems)
+    kinds = Counter(kind(label) for label, problems in checked if problems)
+    failed = sum(1 for _, problems in checked if problems)
+    lines = [f"{workload} seed={seed} failed={failed}/{len(checked)}"]
+    lines += [f"  stage {name}: {n}" for name, n in sorted(stages.items())]
+    lines += [f"  kind {name}: {n}" for name, n in sorted(kinds.items())]
+    return failed, lines
+
+
+def digest(workloads, workload, seeds, cycles, workdir, failures=False):
+    """(number of ops, SHA-256 hex digest, per-op lines, failure lines) over
+    the decks of seeds x cycles; `cli` fixture files go under `workdir`.
+    Failure lines are made only when `failures` is set."""
     runner = workloads.CliRunner(None, ROOT, in_process=True)
     h = hashlib.sha256()
-    per_op = []
+    per_op, report, total, attempted = [], [], 0, 0
     for seed in seeds:
+        checked = []
         for cycle in cycles:
             rng = np.random.default_rng([seed, cycle])
             if workload == "interp":
@@ -117,7 +145,20 @@ def digest(workloads, workload, seeds, cycles, workdir):
                     f"{workload} seed={seed} cycle={cycle} op={index} "
                     f"sha256={hashlib.sha256(encoded).hexdigest()} {op.label}"
                 )
-    return len(per_op), h.hexdigest(), per_op
+                if failures:
+                    if isinstance(result, Exception):
+                        problems = [f"{type(result).__name__}: {result}"]
+                    else:
+                        problems = op.check(result)
+                    checked.append((op.label, problems))
+        if failures:
+            failed, lines = failure_lines(workload, seed, checked)
+            total += failed
+            attempted += len(checked)
+            report += lines
+    if failures:
+        report.append(f"{workload} seeds={len(seeds)} failed={total}/{attempted}")
+    return len(per_op), h.hexdigest(), per_op, report
 
 
 def main():
@@ -131,6 +172,9 @@ def main():
         default=["interp", "negsq", "cli"],
     )
     parser.add_argument("--per-op", action="store_true", help="also print one digest per op")
+    parser.add_argument(
+        "--failures", action="store_true", help="also check each op and count failures per seed"
+    )
     args = parser.parse_args()
     if not (ROOT / "src" / "schurkit" / "__init__.py").is_file():
         print(f"fingerprint: no schurkit sources under {ROOT / 'src'}", file=sys.stderr)
@@ -142,9 +186,13 @@ def main():
 
     for workload in args.workloads:
         with tempfile.TemporaryDirectory() as workdir:
-            n, hexdigest, per_op = digest(workloads, workload, args.seeds, args.cycles, workdir)
+            n, hexdigest, per_op, report = digest(
+                workloads, workload, args.seeds, args.cycles, workdir, args.failures
+            )
         if args.per_op:
             print("\n".join(per_op))
+        if report:
+            print("\n".join(report))
         seeds = ",".join(map(str, args.seeds))
         cycles = ",".join(map(str, args.cycles))
         print(f"{workload} seeds={seeds} cycles={cycles} ops={n} sha256={hexdigest}")
