@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     VerificationError,
 )
 from .kernels import SamplePlan, estimate_negative_squares, inertia
-from .rational import Mat2RF, Poly, RationalFn, _deflate, as_rational
+from .rational import Mat2RF, Poly, RationalFn, as_rational
 from .tolerances import (
     ADMIS_TOL,
     CIRCLE_TOL,
@@ -205,14 +206,28 @@ class CoeffMatrix:
     (D n - g) / (D d - conj(tau0) g) with g = w (n - tau0 d). As a map of
     (n, d) it has determinant D^2, so the pair can share only powers of
     (z - z1), which are divided out exactly instead of by a generic reduction.
+
+    `mat`, the four entries as a Mat2RF, is built on its first read and kept;
+    the parametrization does not read it. `mat.apply` is the generic
+    linear-fractional transform with SVD reductions, not the
+    parametrization: at k = 8 it can differ from `apply` by about 1e-2.
     """
 
     data: InterpData
     theta: RationalFn
     poly: Poly
     pick: np.ndarray
-    mat: Mat2RF
     neutral: np.ndarray = field(repr=False)
+
+    @cached_property
+    def mat(self):
+        """Entries 1 -+ theta and +-tau0 theta, all over the denominator of theta."""
+        theta, tau0 = self.theta, self.data.tau0
+        a = RationalFn(theta.den - theta.num, theta.den, reduce=False)
+        b = RationalFn(theta.num * tau0, theta.den, reduce=False)
+        c = RationalFn(theta.num * (-np.conj(tau0)), theta.den, reduce=False)
+        d = RationalFn(theta.den + theta.num, theta.den, reduce=False)
+        return Mat2RF(a, b, c, d)
 
     def _transform(self, n, d, sign):
         """D (I + sign theta u u* J) (n, d) = (D n + sign g, D d + sign conj(tau0) g)
@@ -233,13 +248,18 @@ class CoeffMatrix:
         infinity, the inverse transform (D + w) / (conj(tau0) w) of 1 / 0.
         """
         s = as_rational(s)
-        top, bot = self._transform(s.num, s.den, -1)
-        if bot.is_zero:
-            raise DegenerateLFT("transform denominator is identically zero")
         j = 0
         if not admissible_parameter(s, self.data)[0]:
             pole = RationalFn(*self._transform(Poly.one(), Poly.zero(), +1), reduce=False)
             j = _node_contact(s, self.data.z1, pole.taylor(self.data.z1, 2 * self.data.k - 1))
+        return self._apply(s, j)
+
+    def _apply(self, s, j):
+        """The transform of the rational s with (z - z1)^j divided out; `solve`
+        passes j = 0 for a parameter it has already found admissible."""
+        top, bot = self._transform(s.num, s.den, -1)
+        if bot.is_zero:
+            raise DegenerateLFT("transform denominator is identically zero")
         return _divide_node(top, bot, self.data.z1, j)
 
     def eval(self, z):
@@ -270,12 +290,6 @@ def coeff_matrix(data):
     # Coprime: p(z1) != 0 and z0 != z1.
     weight = Poly((1.0, -np.conj(data.z0))) * p
     theta = RationalFn(weight, Poly((1.0, -np.conj(data.z1))) ** data.k, reduce=False)
-    # Entries 1 -+ theta and +-tau0 theta, all over the denominator of theta.
-    a = RationalFn(theta.den - theta.num, theta.den, reduce=False)
-    b = RationalFn(theta.num * data.tau0, theta.den, reduce=False)
-    c = RationalFn(theta.num * (-np.conj(data.tau0)), theta.den, reduce=False)
-    d = RationalFn(theta.den + theta.num, theta.den, reduce=False)
-    mat = Mat2RF(a, b, c, d)
     u = np.array([1.0, np.conj(data.tau0)], dtype=complex)
     w = np.zeros(data.k + 1, dtype=complex)
     w[: weight.coeffs.size] = weight.coeffs
@@ -284,7 +298,7 @@ def coeff_matrix(data):
         raise VerificationError("coefficient matrix is not J-unitary on the circle")
     P.setflags(write=False)
     u.setflags(write=False)
-    cm = CoeffMatrix(data=data, theta=theta, poly=p, pick=P, mat=mat, neutral=u)
+    cm = CoeffMatrix(data=data, theta=theta, poly=p, pick=P, neutral=u)
     object.__setattr__(data, "_coeff_matrix", cm)
     return cm
 
@@ -336,13 +350,26 @@ def _node_contact(f, z1, expected):
 
 
 def _divide_node(top, bot, z1, j):
-    """top / bot with (z - z1)^j divided out of both by synthetic division."""
-    t, b = top.coeffs, bot.coeffs
-    for _ in range(min(j, bot.degree, top.degree if t.size else j)):
-        b = _deflate(b, z1)[0]
-        if t.size:
-            t = _deflate(t, z1)[0]
-    return RationalFn(Poly(t), Poly(b), reduce=False)
+    """top / bot with (z - z1)^j divided out of both by synthetic division.
+
+    Each coefficient array becomes a Python list `a` once, and the divisions
+    by (z - z1) run in place on it: division number m (from 0) replaces a[i]
+    by a[i] + z1 a[i + 1] for i from the top down to m + 1, the operations
+    of `rational._deflate`, which leaves the quotient in a[m + 1:] (the
+    remainder, a[m] + z1 a[m + 1], is not needed).
+    """
+    n = min(j, bot.degree, top.degree if top.coeffs.size else j)
+    if n <= 0:
+        return RationalFn(top, bot, reduce=False)
+    c = complex(z1)
+    out = []
+    for p in (top, bot):
+        a = p.coeffs.tolist()
+        for m in range(n):
+            for i in range(len(a) - 2, m, -1):
+                a[i] = a[i] + c * a[i + 1]
+        out.append(Poly(a[n:]))
+    return RationalFn(*out, reduce=False)
 
 
 def verify_expansion(s, data, *, order_tol=ORDER_TOL):
@@ -377,7 +404,7 @@ def solve(data, s1, *, theta=None, verify=True):
     if not ok:
         raise InadmissibleParameter(diag)
     cm = coeff_matrix(data) if theta is None else theta
-    s = cm.apply(s1)
+    s = cm._apply(s1, 0)
     if verify:
         report = verify_expansion(s, data)
         if not report.passed:

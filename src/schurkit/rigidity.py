@@ -269,6 +269,11 @@ def polar_grid():
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
+# The points of every disk-wide check, computed once; read-only.
+_POLAR_GRID = polar_grid()
+_POLAR_GRID.flags.writeable = False
+
+
 def horocycle_check(s, alpha):
     """Whether s maps the disk into the horocycle at 1 of size alpha/(1-alpha).
 
@@ -282,10 +287,13 @@ def horocycle_check(s, alpha):
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    s = as_rational(s)
+    return _horocycle(as_rational(s)(_POLAR_GRID), alpha)
+
+
+def _horocycle(values, alpha):
+    """horocycle_check on the values of s at the points of _POLAR_GRID."""
+    pts = _POLAR_GRID
     bound = alpha / (1.0 - alpha)
-    pts = polar_grid()
-    values = s(pts)
     m = np.abs(values)
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = np.abs(values - 1.0) ** 2 / (1.0 - m * m)
@@ -315,10 +323,12 @@ def affine_lft_bound(s, alpha):
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    s = as_rational(s)
-    pts = polar_grid()
-    a = alpha
-    sv = s(pts)
+    return _lft_bound(as_rational(s)(_POLAR_GRID), alpha)
+
+
+def _lft_bound(sv, alpha):
+    """affine_lft_bound on the values sv of s at the points of _POLAR_GRID."""
+    pts, a = _POLAR_GRID, alpha
     top = (2 * a + 1 - pts * (2 * a - 1)) * sv - (1 + pts)
     bot = (2 * a - 1 - pts * (2 * a + 1)) + (1 + pts) * sv
     slack = np.abs(top) - abs(1 - 2 * a) * np.abs(bot)
@@ -387,8 +397,9 @@ def affine_equivalences(s, alpha):
     else:
         sup = float(np.max(np.abs(s1(_CIRCLE))))
         param_bound = sup <= abs(target) + 1e-9
-    lft_ok, _ = affine_lft_bound(s, alpha)
-    horo, witness = horocycle_check(s, alpha)
+    values = s(_POLAR_GRID)
+    lft_ok, _ = _lft_bound(values, alpha)
+    horo, witness = _horocycle(values, alpha)
     return EquivalenceReport(
         alpha=alpha,
         identity=identity,

@@ -1,9 +1,12 @@
 """Structured matrices, the coefficient matrix function, solve/recover."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_admissible_parameter, random_interp_data, unimodular
 from schurkit import interpolation
@@ -34,7 +37,7 @@ from schurkit.interpolation import (
     verify_expansion,
 )
 from schurkit.kernels import SamplePlan, inertia
-from schurkit.rational import INF, Poly, RationalFn, unit_circle_samples
+from schurkit.rational import INF, Mat2RF, Poly, RationalFn, _deflate, unit_circle_samples
 from schurkit.rigidity import rigidity_check
 from schurkit.tolerances import CIRCLE_TOL
 
@@ -407,6 +410,104 @@ class TestOneBuildPerDatum:
         for array in (cm.pick, cm.neutral):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+
+class TestBuildOnRead:
+    """coeff_matrix builds no Mat2RF; `mat` is built on its first read and
+    kept."""
+
+    @pytest.fixture
+    def mats(self, monkeypatch):
+        made = []
+
+        class Counted(Mat2RF):
+            __slots__ = ()
+
+            def __init__(self, *entries):
+                made.append(self)
+                super().__init__(*entries)
+
+        monkeypatch.setattr(interpolation, "Mat2RF", Counted)
+        return made
+
+    def test_build_makes_no_entries(self, mats):
+        d = replace(D4)
+        cm = coeff_matrix(d)
+        s = solve(d, RationalFn.constant(0.5), theta=cm)
+        recover_parameter(s, d, theta=cm)
+        rigidity_check(d, -1.0, s)
+        assert mats == []
+        assert cm.mat is cm.mat and mats == [cm.mat]
+
+    def test_entries_are_the_rank_one_update(self):
+        cm = coeff_matrix(replace(DK2))
+        w, D, tau0 = cm.theta.num, cm.theta.den, DK2.tau0
+        expected = (D - w, w * tau0, w * -tau0.conjugate(), D + w)
+        for got, num in zip(cm.mat.entries(), expected):
+            assert got.num.coeffs.tobytes() == num.coeffs.tobytes()
+            assert got.den.coeffs.tobytes() == D.coeffs.tobytes()
+
+
+class TestOneAdmissibilityTest:
+    """solve tests its parameter once; the public apply tests its own."""
+
+    @pytest.fixture
+    def tests(self, monkeypatch):
+        count = [0]
+        test = interpolation.admissible_parameter
+
+        def counted(*args):
+            count[0] += 1
+            return test(*args)
+
+        monkeypatch.setattr(interpolation, "admissible_parameter", counted)
+        return count
+
+    @pytest.mark.parametrize("data", [D4, DK2])
+    def test_solve_tests_once(self, tests, data):
+        cm = coeff_matrix(data)
+        s = solve(data, RationalFn.constant(0.5), theta=cm)
+        assert tests[0] == 1
+        assert s.num.coeffs.tobytes() == cm.apply(RationalFn.constant(0.5)).num.coeffs.tobytes()
+        assert tests[0] == 2
+
+    @pytest.mark.parametrize("data", [D4, DK2])
+    def test_apply_divides_out_the_node_power_at_tau0(self, tests, data):
+        s = coeff_matrix(data).apply(data.tau0)
+        assert tests[0] == 1
+        assert s.is_constant() and abs(s.constant_value() - data.tau0) <= 1e-12
+
+
+def ref_divide_node(top, bot, z1, j):
+    """Reference: one _deflate call per factor (z - z1) and polynomial."""
+    t, b = top.coeffs, bot.coeffs
+    for _ in range(min(j, bot.degree, top.degree if t.size else j)):
+        b = _deflate(b, z1)[0]
+        if t.size:
+            t = _deflate(t, z1)[0]
+    return RationalFn(Poly(t), Poly(b), reduce=False)
+
+
+_reals = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+_coeffs = st.lists(st.builds(complex, _reals, _reals), min_size=0, max_size=41)  # degrees -1..40
+_unimodular = st.floats(0.0, 2.0 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+
+
+class TestNodeDivisionBitwise:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_coeffs, _coeffs, _unimodular, st.integers(0, 16))
+    def test_equals_successive_deflations(self, top, bot, z1, j):
+        top, bot = Poly(top), Poly(bot)
+        if bot.is_zero:
+            return
+        got = interpolation._divide_node(top, bot, z1, j)
+        ref = ref_divide_node(top, bot, z1, j)
+        for mine, want in ((got.num, ref.num), (got.den, ref.den)):
+            assert mine.coeffs.dtype == want.coeffs.dtype
+            assert mine.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 class TestAdmissibility:

@@ -9,6 +9,7 @@ from conftest import (
     random_interp_data,
     unimodular,
 )
+from schurkit import rigidity
 from schurkit.errors import (
     HypothesisNotMet,
     InvalidContactPoint,
@@ -378,6 +379,51 @@ class TestEquivalences:
         ok_affine, _ = affine_lft_bound(affine(0.4), 0.4)
         ok_quartic, _ = affine_lft_bound(quartic_half(), 0.5)
         assert ok_affine and not ok_quartic
+
+
+class TestSharedPolarGrid:
+    """affine_equivalences evaluates s once on the module's read-only polar
+    grid and reads the LFT bound and the horocycle from those values."""
+
+    @staticmethod
+    def quartic(alpha):
+        beta = 1.0 / 20.0
+        while True:
+            try:
+                return quartic_perturbation(alpha, beta)
+            except NotSchur:
+                beta *= 0.5
+
+    @pytest.fixture
+    def grid_calls(self, monkeypatch):
+        """Number of evaluations of a RationalFn at the shared grid."""
+        count = [0]
+        call = RationalFn.__call__
+
+        def counted(self, z):
+            count[0] += z is rigidity._POLAR_GRID
+            return call(self, z)
+
+        monkeypatch.setattr(RationalFn, "__call__", counted)
+        return count
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("kind", ["affine", "quartic"])
+    def test_matches_the_public_checks(self, grid_calls, kind, alpha):
+        s = affine(alpha) if kind == "affine" else self.quartic(alpha)
+        rep = affine_equivalences(s, alpha)
+        assert grid_calls[0] == 1
+        assert rep.lft_bound == affine_lft_bound(s, alpha)[0]
+        assert (rep.horocycle, rep.witness) == horocycle_check(s, alpha)
+        assert rep.horocycle == (kind == "affine")
+
+    def test_grid_is_read_only(self):
+        grid = rigidity._POLAR_GRID
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+        assert grid.tobytes() == polar_grid().tobytes()
+        assert polar_grid().flags.writeable
 
 
 class TestCayleyDecomposition:
