@@ -9,6 +9,9 @@ are parametrized by a linear-fractional transform whose 2x2 coefficient
 matrix is J-unitary on the circle with determinant identically 1. The
 structured Pick matrix of the data controls how many negative squares every
 solution acquires.
+At the node all work is in powers of t = z - z1, where Taylor data are
+leading coefficients and the node factor (1 - conj(z1) z)^k is a multiple of
+t^k; a solution or parameter is built from its coefficients in t.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     VerificationError,
 )
 from .kernels import SamplePlan, estimate_negative_squares, inertia
-from .rational import Mat2RF, Poly, RationalFn, as_rational
+from .rational import Mat2RF, Poly, RationalFn, _trim, _valuation, as_rational
 from .tolerances import (
     ADMIS_TOL,
     CIRCLE_TOL,
@@ -201,11 +204,11 @@ class CoeffMatrix:
     the inverse is I + theta u u* J, and mat J mat* = J - 2 Re(theta) u u*,
     which is J where Re(theta) = 0.
 
-    The matrix acts only as that rank-one update (`_transform`), three
-    polynomial products: for theta = w / D it sends n / d to
+    The matrix acts only as that rank-one update (`_transform`), in powers of
+    t = z - z1: for theta = w / D, the monic D being t^k, it sends n / d to
     (D n - g) / (D d - conj(tau0) g) with g = w (n - tau0 d). As a map of
-    (n, d) it has determinant D^2, so the pair can share only powers of
-    (z - z1), which are divided out exactly instead of by a generic reduction.
+    (n, d) it has determinant D^2, so the pair can share only powers of t,
+    which are dropped leading coefficients instead of a generic reduction.
 
     `mat`, the four entries as a Mat2RF, is built on its first read and kept;
     the parametrization does not read it. `mat.apply` is the generic
@@ -231,41 +234,43 @@ class CoeffMatrix:
 
     def _transform(self, n, d, sign):
         """D (I + sign theta u u* J) (n, d) = (D n + sign g, D d + sign conj(tau0) g)
-        with g = w (n - tau0 d), for polynomials n, d and theta = w / D. Sign +1
-        (inverse and adjugate) takes u J-neutral: |tau0| = 1 within CIRCLE_TOL."""
-        w, D, tau0 = self.theta.num, self.theta.den, self.data.tau0
-        g = w * (n + Poly(d.coeffs * -tau0, trim=False))
+        with g = w (n - tau0 d), trimmed, for arrays n, d in powers of t (w is
+        theta's kept numerator there). Sign +1 inverts it: |tau0| = 1 within CIRCLE_TOL."""
+        k, tau0 = self.data.k, self.data.tau0
+        g = np.convolve(self.theta._shifted(self.data.z1)[0], _sum(n, d * -tau0))
         if sign < 0:
             g = -g
-        return D * n + g, D * d + Poly(g.coeffs * tau0.conjugate(), trim=False)
+        top = _sum(np.concatenate((np.zeros(k), n)), g)
+        bot = _sum(np.concatenate((np.zeros(k), d)), g * tau0.conjugate())
+        return _trim(top), _trim(bot)
 
     def apply(self, s):
         """The solution (D n - g) / (D d - conj(tau0) g) of a parameter n / d.
 
-        For an admissible parameter the polynomial pair is already coprime.
-        Otherwise the shared power of (z - z1) is the number of leading
-        Taylor coefficients the parameter shares with the parameter sent to
-        infinity, the inverse transform (D + w) / (conj(tau0) w) of 1 / 0.
+        For an admissible parameter the pair is already coprime. Otherwise
+        the shared power of t is the number of leading Taylor coefficients
+        the parameter shares with the parameter sent to infinity, the
+        inverse transform (D + w) / (conj(tau0) w) of 1 / 0.
         """
         s = as_rational(s)
         j = 0
         if not admissible_parameter(s, self.data)[0]:
-            pole = RationalFn(*self._transform(Poly.one(), Poly.zero(), +1), reduce=False)
+            pole = RationalFn._at(self.data.z1, *self._transform(np.ones(1), np.zeros(0), +1))
             j = _node_contact(s, self.data.z1, pole.taylor(self.data.z1, 2 * self.data.k - 1))
         return self._apply(s, j)
 
     def _apply(self, s, j):
-        """The transform of the rational s with (z - z1)^j divided out; `solve`
+        """The transform of the rational s with t^j divided out; `solve`
         passes j = 0 for a parameter it has already found admissible."""
-        top, bot = self._transform(s.num, s.den, -1)
-        if bot.is_zero:
+        top, bot = self._transform(*s._shifted(self.data.z1)[:2], -1)
+        if bot.size == 0:
             raise DegenerateLFT("transform denominator is identically zero")
-        return _divide_node(top, bot, self.data.z1, j)
+        return _node_quotient(self.data.z1, top, bot, j)
 
     def eval(self, z):
-        """I - theta(z) u u* J at a point: the transforms of I's columns over D(z)."""
-        cols = [self._transform(Poly(e[0]), Poly(e[1]), -1) for e in np.eye(2)]
-        return np.array([[p(z) for p in col] for col in cols]).T / self.theta.den(z)
+        """I - theta(z) u u* J at a point."""
+        u = self.neutral.reshape(2, 1)
+        return np.eye(2) - self.theta(z) * (u @ u.conj().T @ J)
 
 
 def coeff_matrix(data):
@@ -349,27 +354,19 @@ def _node_contact(f, z1, expected):
     return int(np.argmax(miss)) if miss.any() else expected.size
 
 
-def _divide_node(top, bot, z1, j):
-    """top / bot with (z - z1)^j divided out of both by synthetic division.
+def _sum(a, b):
+    """Sum of two coefficient arrays of any lengths."""
+    out = np.zeros(max(a.size, b.size), dtype=complex)
+    out[: a.size] += a
+    out[: b.size] += b
+    return out
 
-    Each coefficient array becomes a Python list `a` once, and the divisions
-    by (z - z1) run in place on it: division number m (from 0) replaces a[i]
-    by a[i] + z1 a[i + 1] for i from the top down to m + 1, the operations
-    of `rational._deflate`, which leaves the quotient in a[m + 1:] (the
-    remainder, a[m] + z1 a[m + 1], is not needed).
-    """
-    n = min(j, bot.degree, top.degree if top.coeffs.size else j)
-    if n <= 0:
-        return RationalFn(top, bot, reduce=False)
-    c = complex(z1)
-    out = []
-    for p in (top, bot):
-        a = p.coeffs.tolist()
-        for m in range(n):
-            for i in range(len(a) - 2, m, -1):
-                a[i] = a[i] + c * a[i + 1]
-        out.append(Poly(a[n:]))
-    return RationalFn(*out, reduce=False)
+
+def _node_quotient(z1, top, bot, j):
+    """top / bot (trimmed, in powers of t = z - z1) with t^j divided out: the
+    first j coefficients are dropped, but never the last one of either."""
+    m = min(j, bot.size - 1, top.size - 1 if top.size else j)
+    return RationalFn._at(z1, top[m:], bot[m:])
 
 
 def verify_expansion(s, data, *, order_tol=ORDER_TOL):
@@ -416,34 +413,22 @@ def recover_parameter(s, data, *, theta=None):
     """Invert the parametrization: the parameter whose transform is s.
 
     The inverse transform is the rank-one update I + theta u u* J, the
-    adjugate. Its numerator and denominator share (z - z1)^j, j the number of
-    leading datum coefficients s matches (2k for a solution); that factor is
-    divided out exactly. The result is round-trip checked by evaluation.
-
-    A parameter that passes is kept on `s` with the coefficient matrix and
-    datum it was recovered for (compared by identity): a later call with the
-    same pair returns the same object. A recovery that raises is not kept.
+    adjugate, applied to s in powers of t = z - z1. Its numerator and
+    denominator share t^j, j the number of leading datum coefficients s
+    matches (2k for a solution); their first j coefficients are dropped.
+    The result is round-trip checked by evaluating its forward pair.
     """
     s = as_rational(s)
     cm = coeff_matrix(data) if theta is None else theta
-    kept = s._recovered
-    if kept is not None and kept[0] is cm and kept[1] is data:
-        return kept[2]
-    s1 = _recover(s, data, cm)
-    s._recovered = (cm, data, s1)
-    return s1
-
-
-def _recover(s, data, cm):
-    """The parameter recover_parameter returns, computed afresh."""
-    top, bot = cm._transform(s.num, s.den, +1)
-    if bot.is_zero:
+    top, bot = cm._transform(*s._shifted(data.z1)[:2], +1)
+    if bot.size == 0:
         raise DegenerateLFT("s is the transform of the parameter infinity")
     j = _node_contact(s, data.z1, data.expected_coefficients())
-    s1 = _divide_node(top, bot, data.z1, j)
-    back = cm.apply(s1)
+    s1 = _node_quotient(data.z1, top, bot, j)
+    top, bot = (Poly(a, trim=False) for a in cm._transform(*s1._shifted(data.z1)[:2], -1))
     for x in (0.19 + 0.11j, -0.37, 0.52j):
-        ref, got = s(x), back(x)
+        t = x - data.z1
+        ref, got = s(x), top(t) / bot(t)
         if abs(ref - got) > 1e-7 * (1.0 + abs(ref)):
             raise VerificationError("parameter recovery failed the round trip")
     return s1
@@ -456,21 +441,22 @@ def denominator_closed_form(s1, data):
         / (1-z conj(z1))^k
 
     Its numerator times the denominator of s1 is the denominator of
-    CoeffMatrix.apply; it shares (z - z1)^j with (1-z conj(z1))^k, j <= k the
-    number of leading Taylor coefficients s1 shares with the constant tau0,
-    which is divided out exactly. Asserts agreement with the direct c*s1 + d
-    and, for admissible s1, that the numerator does not vanish at z1.
+    CoeffMatrix.apply; in powers of t = z - z1 it shares t^j with t^k, j <= k
+    the number of leading Taylor coefficients s1 shares with the constant
+    tau0, which are dropped. Asserts agreement with the direct c*s1 + d and,
+    for admissible s1, that the numerator does not vanish at z1.
     """
     s1 = as_rational(s1)
     cm = coeff_matrix(data)
-    _, numerator = cm._transform(s1.num, s1.den, -1)
+    n, d, _ = s1._shifted(data.z1)
+    _, numerator = cm._transform(n, d, -1)
     j = _node_contact(s1, data.z1, data.expected_coefficients()[: data.k])
-    closed = _divide_node(numerator, cm.theta.den * s1.den, data.z1, j)
+    closed = _node_quotient(data.z1, numerator, np.concatenate((np.zeros(data.k), d)), j)
     direct = cm.mat.c * s1 + cm.mat.d
     scale = float(np.max(np.abs(np.concatenate([direct.num.coeffs, direct.den.coeffs]))))
     if not closed.allclose(direct, 1e-8 * max(1.0, scale)):
         raise VerificationError("closed form disagrees with direct c*s1 + d")
-    if admissible_parameter(s1, data)[0] and numerator.valuation(data.z1) > 0:
+    if admissible_parameter(s1, data)[0] and _valuation(numerator) > 0:
         raise VerificationError("transform denominator degenerates at z1")
     return closed
 

@@ -16,11 +16,12 @@ by numpy.polynomial, whose array loop may round differently in the last bits
 from the scalar recurrence.
 
 A rational function is treated as immutable, so what is derived from it is
-computed once and kept on it: its poles, its numerator and denominator
-shifted to the last expansion centre with the longest Taylor series computed
-there (shorter orders are slices of it, and the vanishing order reads the
-same shift), and the parameter `recover_parameter` found for it under one
-coefficient matrix. Reassigning `num` or `den` is unsupported.
+computed once and kept on it: its poles, and its numerator and denominator
+shifted to the first expansion centre asked (for a function built at a
+centre by `RationalFn._at`, its coefficients there) with the longest Taylor
+series computed there; shorter orders are slices of it, the vanishing order
+reads the same shift, and other centres are expanded afresh. Reassigning
+`num` or `den` is unsupported.
 """
 
 from __future__ import annotations
@@ -392,7 +393,7 @@ class RationalFn:
     object (see the module docstring).
     """
 
-    __slots__ = ("num", "den", "_poles", "_center", "_shift", "_series", "_recovered")
+    __slots__ = ("num", "den", "_poles", "_center", "_expansion")
 
     def __init__(self, num, den=1.0, *, reduce=True):
         pn = num if isinstance(num, Poly) else Poly(num)
@@ -415,9 +416,20 @@ class RationalFn:
             )
         self._poles = None
         self._center = None
-        self._shift = None
-        self._series = None
-        self._recovered = None
+        self._expansion = None
+
+    @classmethod
+    def _at(cls, center, num, den):
+        """num / den for arrays in powers of (z - center), both divided by the
+        last coefficient of den, which a shift keeps. The scaled arrays are the
+        kept expansion at `center`, and `num`, `den` them shifted to powers of z."""
+        num, den = num / den[-1], den / den[-1]
+        den[-1] = 1.0
+        c = complex(center)
+        zn, zd = (Poly(Poly(a, trim=False).shifted(-c), trim=False) for a in (num, den))
+        f = cls(zn, zd, reduce=False)
+        f._center, f._expansion = (c.real.hex(), c.imag.hex()), (num, den, [])
+        return f
 
     @classmethod
     def constant(cls, c):
@@ -510,18 +522,17 @@ class RationalFn:
         return g / self
 
     def _shifted(self, center):
-        """Numerator and denominator in powers of (z - center).
-
-        Kept for the last centre asked (compared bit for bit); a new centre
-        replaces them and empties the kept Taylor series.
-        """
+        """Numerator, denominator in powers of (z - center) and the Taylor
+        coefficients computed from them so far: kept for the first centre
+        asked (compared bit for bit), shifted afresh for any other."""
         c = complex(center)
         key = (c.real.hex(), c.imag.hex())
-        if key != self._center:
-            self._shift = (self.num.shifted(c), self.den.shifted(c))
-            self._series = []
+        if self._center is None:
             self._center = key
-        return self._shift
+            self._expansion = (self.num.shifted(c), self.den.shifted(c), [])
+        if key == self._center:
+            return self._expansion
+        return self.num.shifted(c), self.den.shifted(c), []
 
     def taylor(self, center, order):
         """Taylor coefficients c_0..c_order of the function at `center`.
@@ -529,7 +540,7 @@ class RationalFn:
         Computed by shifting numerator and denominator to powers of
         (z - center) and dividing the power series. Coefficient m depends
         only on the first m + 1 shifted coefficients of each, so the longest
-        series computed at the last centre is kept: a shorter order is a
+        series computed at the kept centre is stored: a shorter order is a
         slice of it and a longer one continues the division.
         """
         if order < 0:
@@ -537,8 +548,7 @@ class RationalFn:
         n = order + 1
         if self.num.is_zero:
             return np.zeros(n, dtype=complex)
-        a, b = self._shifted(center)
-        c = self._series
+        a, b, c = self._shifted(center)
         if len(c) < n:
             if not c and abs(b[0]) <= ROOT_TOL * float(np.max(np.abs(b))):
                 raise PoleAtExpansionPoint(f"denominator vanishes at {center}")
@@ -560,7 +570,7 @@ class RationalFn:
         """
         if self.num.is_zero:
             return INF
-        a, b = self._shifted(center)
+        a, b, _ = self._shifted(center)
         return _valuation(a) - _valuation(b)
 
     def allclose(self, other, tol=1e-9):

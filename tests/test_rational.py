@@ -346,8 +346,12 @@ def ref_shifted(a, center):
 
 
 def ref_taylor(num, den, center, order):
+    return ref_series(ref_shifted(num, center), ref_shifted(den, center), order)
+
+
+def ref_series(a, b, order):
+    """Power-series division of a by b, as taylor divides shifted arrays."""
     n = order + 1
-    a, b = ref_shifted(num, center), ref_shifted(den, center)
     A = np.zeros(n, complex)
     B = np.zeros(n, complex)
     A[: min(n, a.size)] = a[: min(n, a.size)]
@@ -564,6 +568,48 @@ class TestExpansionCache:
             else:
                 assert same_bits(got, ref)
             assert f.vanishing_order(centre) == make().vanishing_order(centre)
+
+
+class TestNodeConstructor:
+    """RationalFn._at(center, num, den) is the function num / den for arrays
+    in powers of (z - center). The arrays, divided by den's last
+    coefficient, are its expansion at `center`: its Taylor series there is
+    their series, bit for bit, whatever was asked of it before, and its
+    num / den are them shifted to powers of z."""
+
+    _moderate = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)
+    )
+    _arrays = st.lists(st.builds(complex, _moderate, _moderate), min_size=1, max_size=25)
+
+    @_bitwise
+    @given(_arrays, _arrays, _centres, _centres, st.integers(0, 16))
+    def test_expansion_is_the_given_arrays(self, num, den, centre, other, order):
+        num, den = Poly(num).coeffs, Poly(den).coeffs
+        if num.size == 0 or den.size == 0:
+            return
+        lead = den[-1]
+        a, b = num / lead, den / lead
+        b[-1] = 1.0
+        if abs(b[0]) <= ROOT_TOL * float(np.max(np.abs(b))):
+            return  # a pole at the centre: taylor raises
+        ref = ref_series(a, b, order)
+        assert same_bits(RationalFn._at(centre, num, den).taylor(centre, order), ref)
+        f = RationalFn._at(centre, num, den)
+        try:
+            f.taylor(other, order)
+        except PoleAtExpansionPoint:
+            pass
+        f.vanishing_order(other)
+        assert same_bits(f.taylor(centre, order), ref)
+        assert np.array_equal(f.num.coeffs, ref_shifted(a, -centre))
+        assert np.array_equal(f.den.coeffs, ref_shifted(b, -centre))
+
+    def test_monic_arrays_are_kept_as_given(self):
+        num, den = np.array([1.0, 2j, -0.5]), np.array([0.5 - 0.25j, 1.0])
+        f = RationalFn._at(1j, num, den)
+        assert same_bits(f.taylor(1j, 6), ref_series(num, den, 6))
+        assert f.vanishing_order(1j) == 0 and f.den.coeffs[-1] == 1.0
 
 
 class TestScalarCoreContract:

@@ -219,6 +219,39 @@ class TestRigidityCheck:
             assert v_plain == v_recovered
             assert "deviates from x" in v_plain.residual_report or v_plain.forced_identity
 
+    @pytest.mark.parametrize(
+        "s1, order",
+        [
+            (RationalFn([0, -1]), 1),
+            (RationalFn([0.5, -0.5]), 0),
+            (RationalFn([1], [-1, 1]), 0),
+        ],
+    )
+    def test_deviation_order_is_observed_minus_2k(self, s1, order):
+        # s - T(x) = (s1 - x) (z - z1)^(2k) times a unit at z1: -z deviates
+        # from x = -1 at order 1 and (1 - z) / 2 at order 0; a parameter
+        # with a pole at z1 gives contact 2k, read as order 0.
+        v = rigidity_check(D4, -1.0, solve(D4, s1))
+        assert v.observed_order == 2 + order
+        assert f"recovered parameter deviates from x at order {order};" in v.residual_report
+
+    def test_contact_below_2k_is_reported(self, monkeypatch):
+        # s and T(x) each within the expansion tolerance of the datum at c_k,
+        # on opposite sides of it: they agree only to order k < 2k, which the
+        # report names instead of a negative deviation order.
+        data = InterpData(z1=1.0, k=2, tau0=1.0, tau=(1j, -1j), z0=-1.0)
+        b = solve(data, -1.0)
+        bump = Poly([-1.0, 1.0]) ** 2 * (0.9e-7 * b.den)  # 0.9 ORDER_TOL (z - 1)^2
+
+        def moved(sign):
+            return RationalFn(b.num + bump * sign, b.den, reduce=False)
+
+        monkeypatch.setattr(rigidity, "solve", lambda *args, **kwargs: moved(1.0))
+        v = rigidity_check(data, -1.0, moved(-1.0))
+        assert not v.forced_identity and v.observed_order == 2
+        assert "s and T(x) pass the expansion check but differ at c2;" in v.residual_report
+        assert "deviates" not in v.residual_report
+
     def test_contact_order_of_an_ill_conditioned_solution(self):
         # A k = 4 solution for a parameter other than x, so its contact with
         # T(x) at z1 is exactly 2k = 8. The valuation of the unreduced

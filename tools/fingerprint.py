@@ -21,7 +21,8 @@ that raises fails with the exception, as in `bench/run.py`), and for each
 seed the workload's failed/attempted ops are printed over the given cycles,
 with the failed checks counted by stage (the text of a check before its
 first colon) and the failed ops counted by kind (the op label without its
-`key=value` words, except `k=` and `kappa=`). A last line sums the seeds.
+`key=value` words, except `k=` and `kappa=`). A last block sums the seeds:
+failed/attempted ops, stages and kinds over all of them.
 """
 
 import os
@@ -103,15 +104,15 @@ def kind(label):
     return " ".join(w for w in words if "=" not in w or w.split("=")[0] in ("k", "kappa"))
 
 
-def failure_lines(workload, seed, checked):
-    """Report lines of one seed's (label, problems) pairs."""
+def failure_lines(header, checked):
+    """Report lines of (label, problems) pairs under `header`."""
     stages = Counter(p.split(":")[0] for _, problems in checked for p in problems)
     kinds = Counter(kind(label) for label, problems in checked if problems)
     failed = sum(1 for _, problems in checked if problems)
-    lines = [f"{workload} seed={seed} failed={failed}/{len(checked)}"]
+    lines = [f"{header} failed={failed}/{len(checked)}"]
     lines += [f"  stage {name}: {n}" for name, n in sorted(stages.items())]
     lines += [f"  kind {name}: {n}" for name, n in sorted(kinds.items())]
-    return failed, lines
+    return lines
 
 
 def digest(workloads, workload, seeds, cycles, workdir, failures=False):
@@ -120,7 +121,7 @@ def digest(workloads, workload, seeds, cycles, workdir, failures=False):
     Failure lines are made only when `failures` is set."""
     runner = workloads.CliRunner(None, ROOT, in_process=True)
     h = hashlib.sha256()
-    per_op, report, total, attempted = [], [], 0, 0
+    per_op, report, every = [], [], []
     for seed in seeds:
         checked = []
         for cycle in cycles:
@@ -152,12 +153,10 @@ def digest(workloads, workload, seeds, cycles, workdir, failures=False):
                         problems = op.check(result)
                     checked.append((op.label, problems))
         if failures:
-            failed, lines = failure_lines(workload, seed, checked)
-            total += failed
-            attempted += len(checked)
-            report += lines
+            report += failure_lines(f"{workload} seed={seed}", checked)
+            every += checked
     if failures:
-        report.append(f"{workload} seeds={len(seeds)} failed={total}/{attempted}")
+        report += failure_lines(f"{workload} seeds={len(seeds)}", every)
     return len(per_op), h.hexdigest(), per_op, report
 
 

@@ -16,8 +16,12 @@ falls on both sides alike.
 An op's time is the median over the rounds. Per workload the output gives,
 for each side, the p50 and p90 of the op times, their sum and the number of
 ops that failed (raised, or failed their check, in any round); then the
-median, quartiles and range of the per-op ratio change / parent, and the
-number of ops whose failed outcome differs between the sides. Only the
+median, quartiles and range of the per-op ratio change / parent, the
+number of ops whose failed outcome differs between the sides, and the
+median ratio over the other ops alone. An op that turns from failing to
+passing may do different work on each side, so when a change moves
+failures the whole-deck ratio mixes that in; the ratio over the ops with
+the same outcome compares like with like. Only the
 in-process workloads `interp` and `negsq` are supported: a `cli` op is one
 fresh interpreter, whose start-up dwarfs the library, and
 `tools/bench_pairs.py` compares it whole.
@@ -149,6 +153,10 @@ def compare(parent, change, workload, seeds, rounds):
           f"range {min(ratios):.4f}-{max(ratios):.4f}")
     moved = failed["parent"] ^ failed["change"]
     print(f"  ops whose failed outcome differs: {len(moved)}")
+    same = [r for i, r in enumerate(ratios) if i not in moved]
+    if same:
+        print(f"  per-op ratio over the {len(same)} ops with the same failed outcome: "
+              f"median {statistics.median(same):.4f}")
 
 
 def main():
