@@ -28,6 +28,7 @@ from .errors import (
     InadmissibleParameter,
     InvalidProblemData,
     NonHermitianPick,
+    NotHermitian,
     PoleAtExpansionPoint,
     SingularPick,
     VerificationError,
@@ -37,7 +38,6 @@ from .rational import Mat2RF, Poly, RationalFn, _trim, _valuation, as_rational
 from .tolerances import (
     ADMIS_TOL,
     CIRCLE_TOL,
-    HERM_TOL,
     MAX_CONTACT_ORDER,
     ORDER_TOL,
 )
@@ -152,18 +152,19 @@ def binomial_matrix(data):
 def pick_matrix(data):
     """Structured Pick matrix conj(tau0) * T * B of the datum.
 
-    Raises NonHermitianPick when the data are incompatible with a Hermitian
-    matrix (the parametrization covers only the Hermitian case) and
-    SingularPick when numerically singular. The matrix is not inverted: it
-    is checked, and its inertia counts the negative squares the
-    parametrization adds.
+    The matrix is not inverted: its inertia counts the negative squares the
+    parametrization adds, so it is checked by that same `inertia` count.
+    Raises NonHermitianPick where `inertia` refuses it as not Hermitian (the
+    parametrization covers only the Hermitian case), and SingularPick
+    exactly when an eigenvalue lies in inertia's zero band, where the count
+    of negative eigenvalues is undetermined.
     """
     P = np.conj(data.tau0) * toeplitz_matrix(data) @ binomial_matrix(data)
-    scale = float(np.max(np.abs(P)))
-    if np.max(np.abs(P - P.conj().T)) > HERM_TOL * scale:
-        raise NonHermitianPick("Pick matrix of the data is not Hermitian")
-    cond = float(np.linalg.cond(P))
-    if not np.isfinite(cond) or cond > 1e14:
+    try:
+        counts = inertia(P)
+    except NotHermitian:
+        raise NonHermitianPick("Pick matrix of the data is not Hermitian") from None
+    if counts.n_zero:
         raise SingularPick("Pick matrix is numerically singular")
     return P
 
@@ -390,17 +391,28 @@ def verify_expansion(s, data, *, order_tol=ORDER_TOL):
     )
 
 
+def _coeff_matrix_for(data, theta):
+    """The coefficient matrix of `data`: `theta` if given, once it is
+    checked to be built for a datum equal to `data`."""
+    if theta is None:
+        return coeff_matrix(data)
+    if theta.data != data:
+        raise InvalidProblemData("coefficient matrix was built for another datum")
+    return theta
+
+
 def solve(data, s1, *, theta=None, verify=True):
     """Solution of the interpolation problem for an admissible parameter.
 
     Applies the linear-fractional transform of the coefficient matrix and
-    post-checks the expansion at z1.
+    post-checks the expansion at z1. A coefficient matrix passed as `theta`
+    must be built for an equal datum, else InvalidProblemData.
     """
     s1 = as_rational(s1)
     ok, diag = admissible_parameter(s1, data)
     if not ok:
         raise InadmissibleParameter(diag)
-    cm = coeff_matrix(data) if theta is None else theta
+    cm = _coeff_matrix_for(data, theta)
     s = cm._apply(s1, 0)
     if verify:
         report = verify_expansion(s, data)
@@ -416,10 +428,12 @@ def recover_parameter(s, data, *, theta=None):
     adjugate, applied to s in powers of t = z - z1. Its numerator and
     denominator share t^j, j the number of leading datum coefficients s
     matches (2k for a solution); their first j coefficients are dropped.
-    The result is round-trip checked by evaluating its forward pair.
+    The result is round-trip checked by evaluating its forward pair. A
+    coefficient matrix passed as `theta` must be built for an equal datum,
+    else InvalidProblemData.
     """
     s = as_rational(s)
-    cm = coeff_matrix(data) if theta is None else theta
+    cm = _coeff_matrix_for(data, theta)
     top, bot = cm._transform(*s._shifted(data.z1)[:2], +1)
     if bot.size == 0:
         raise DegenerateLFT("s is the transform of the parameter infinity")

@@ -48,14 +48,15 @@ class HermitianSample:
     `entries` is (M + M*)/2 of the evaluated matrix M, so it is exactly
     Hermitian and goes to the eigensolver as it is; `asymmetry` records the
     norm of the discarded skew part relative to the matrix scale, and
-    `noise` is an absolute bound on the evaluation rounding of each entry
-    (used to widen the zero band of inertia counts).
+    `noise` is an absolute bound on the evaluation rounding of each entry.
+    `inertia` counts an eigenvalue as zero within n * noise plus the
+    eigensolver's rounding, so `noise` has no default: 0 states exact entries.
     """
 
     points: np.ndarray
     entries: np.ndarray
     asymmetry: float
-    noise: float = 0.0
+    noise: float
 
 
 @dataclass(frozen=True)
@@ -147,12 +148,14 @@ def hermitian_eigenvalues(matrix):
 def inertia(sample):
     """Counts of eigenvalues above, below, and inside the zero band.
 
-    The zero band has half-width 1e-10 * n * max|entry| to absorb eigenvalue
-    rounding; a sampled Gram matrix must be Hermitian within HERM_TOL. A raw
-    array that is not square or has a NaN or infinite entry, or a sample
+    The zero band has half-width n * (noise + 8 eps max|entry|): `noise` is
+    the error the entries carry (a sample's evaluation bound; for a raw
+    array, the largest entry of its skew part |H - H*|), and 8 eps max|entry|
+    per dimension is the eigensolver's rounding. A sampled Gram matrix must
+    be Hermitian within HERM_TOL, a raw array within HERM_TOL max|entry|. A
+    raw array that is not square or has a NaN or infinite entry, or a sample
     with NaN asymmetry, raises NotHermitian: it has no countable eigenvalues.
     """
-    noise = 0.0
     if isinstance(sample, HermitianSample):
         if not sample.asymmetry <= HERM_TOL:
             raise NotHermitian(f"asymmetry {sample.asymmetry:.3g} exceeds {HERM_TOL:.3g}")
@@ -164,16 +167,18 @@ def inertia(sample):
             raise NotHermitian(f"array of shape {H.shape} is not a square matrix")
         if not np.isfinite(H).all():
             raise NotHermitian("matrix has a NaN or infinite entry")
-        scale = float(np.max(np.abs(H), initial=0.0))
-        if scale > 0 and np.max(np.abs(H - H.conj().T)) > HERM_TOL * scale:
+        noise = float(np.abs(H - H.conj().T).max(initial=0.0))
+        if noise > HERM_TOL * float(np.abs(H).max(initial=0.0)):
             raise NotHermitian("matrix asymmetry exceeds tolerance")
         H = 0.5 * (H + H.conj().T)
     n = H.shape[0]
     eig = hermitian_eigenvalues(H)
-    scale = float(np.max(np.abs(H), initial=0.0))
-    band = 1e-10 * max(n, 1) * scale + max(n, 1) * noise
-    n_pos = int(np.sum(eig > band))
-    n_neg = int(np.sum(eig < -band))
+    scale = float(np.abs(H).max(initial=0.0))
+    # 8 eps per dimension: an exactly Hermitian B B* of rank r keeps its
+    # n - r zeros from 0.5 eps up; counts of known kappa first drop at 256 eps.
+    band = n * (noise + 8.0 * np.finfo(float).eps * scale)
+    n_pos = int(np.count_nonzero(eig > band))
+    n_neg = int(np.count_nonzero(eig < -band))
     return Inertia(n_pos=n_pos, n_neg=n_neg, n_zero=n - n_pos - n_neg)
 
 

@@ -35,7 +35,7 @@ from schurkit.interpolation import (
     toeplitz_matrix,
     verify_expansion,
 )
-from schurkit.kernels import SamplePlan, inertia
+from schurkit.kernels import Inertia, SamplePlan, inertia
 from schurkit.rational import Mat2RF, Poly, RationalFn, unit_circle_samples
 from schurkit.rigidity import rigidity_check
 from schurkit.tolerances import CIRCLE_TOL
@@ -135,6 +135,40 @@ class TestStructuredMatrices:
         d = InterpData(z1=1.0, k=2, tau0=1.0, tau=(1.0, 1.0), z0=-1.0)
         with pytest.raises(NonHermitianPick):
             pick_matrix(d)
+
+    def test_ill_conditioned_pick_counts_as_its_exact_eigenvalues(self):
+        # condition number 1.6e13; its smallest eigenvalue, -2.44e-10, is
+        # outside the zero band (9.3e-11: n times the skew part 5.1e-12 plus
+        # 8 eps max|entry|), so the count is determined and is the count of
+        # the 40-digit eigenvalues; a wider band made it (4, 3, 1)
+        d = InterpData(
+            z1=-0.08783615732469804 - 0.996134935370922j,
+            k=8,
+            tau0=0.7614194227458544 - 0.6482595642683336j,
+            tau=(
+                0.003025223372320543 + 1.7790657060120028j,
+                3.1194865716534848 + 46.53218163613347j,
+                203.9184165076377 + 37.935646463995894j,
+                167.89951460895864 - 380.845080687027j,
+                -282.21177270778287 - 280.11533262151204j,
+                -160.52316500668206 - 87.38096278701279j,
+                153.99734896417823 + 85.75915407493801j,
+                -121.62492479825214 - 109.51464061397468j,
+            ),
+            z0=-0.7765256346823004 + 0.6300856597965475j,
+        )
+        P = pick_matrix(d)
+        with mp.workdps(40):
+            exact = mp.eighe(mp.matrix((0.5 * (P + P.conj().T)).tolist()), eigvals_only=True)
+        assert inertia(P) == Inertia(n_pos=4, n_neg=4, n_zero=0)
+        assert sum(e < 0 for e in exact) == 4 and min(abs(e) for e in exact) > 2e-10
+
+    def test_returned_pick_has_no_zero_eigenvalue(self):
+        for j in range(50):
+            rng = np.random.default_rng([1603, j])
+            k = int(rng.integers(4, 9))
+            d = random_interp_data(rng, k, max_cond=1e15, min_ratio=1e-4)
+            assert inertia(pick_matrix(d)).n_zero == 0, (j, k)
 
 
 class TestPolynomial:
@@ -515,6 +549,19 @@ class TestSolve:
     def test_rejects_inadmissible(self):
         with pytest.raises(InadmissibleParameter):
             solve(D4, RationalFn.x())
+
+    def test_refuses_the_coefficient_matrix_of_another_datum(self):
+        a = InterpData(z1=1, k=1, tau0=1, tau=(0.3,), z0=-1)
+        b = InterpData(z1=1j, k=1, tau0=1, tau=(0.7j,), z0=-1j)
+        with pytest.raises(InvalidProblemData, match="another datum"):
+            solve(a, -0.2, theta=coeff_matrix(b), verify=False)
+        s = solve(a, -0.2)
+        with pytest.raises(InvalidProblemData, match="another datum"):
+            recover_parameter(s, a, theta=coeff_matrix(b))
+        # an equal datum's matrix is the same parametrization
+        same = coeff_matrix(replace(a))
+        assert solve(a, -0.2, theta=same, verify=False).allclose(s, 1e-14)
+        assert recover_parameter(s, a, theta=same).allclose(RationalFn.constant(-0.2), 1e-12)
 
     def test_solutions_always_verify(self, rng):
         for k in (1, 2, 3):

@@ -26,7 +26,6 @@ EXPECTED = {
     "interpolation.verify_expansion": ["order_tol"],
     "interpolation.recover_parameter": ["theta"],
     "interpolation.solution_negative_squares": ["plan"],
-    "kernels.HermitianSample.__init__": ["noise"],
     "kernels.SamplePlan.__init__": ["max_points", "radius", "seed", "initial_points"],
     "kernels.estimate_negative_squares": ["plan"],
     "rigidity.PathSpec.__init__": ["z1", "angle", "r0", "ratio", "count"],

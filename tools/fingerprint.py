@@ -22,7 +22,8 @@ seed the workload's failed/attempted ops are printed over the given cycles,
 with the failed checks counted by stage (the text of a check before its
 first colon) and the failed ops counted by kind (the op label without its
 `key=value` words, except `k=` and `kappa=`). A last block sums the seeds:
-failed/attempted ops, stages and kinds over all of them.
+failed/attempted ops, stages and kinds over all of them. With both flags, the
+per-op line of a failed op ends with ` | failed: ` and its first failed check.
 """
 
 import os
@@ -142,7 +143,7 @@ def digest(workloads, workload, seeds, cycles, workdir, failures=False):
                 encoded = bytearray(f"op {op.label}\n".encode())
                 feed(types.SimpleNamespace(update=encoded.extend), result)
                 h.update(encoded)
-                per_op.append(
+                line = (
                     f"{workload} seed={seed} cycle={cycle} op={index} "
                     f"sha256={hashlib.sha256(encoded).hexdigest()} {op.label}"
                 )
@@ -152,6 +153,9 @@ def digest(workloads, workload, seeds, cycles, workdir, failures=False):
                     else:
                         problems = op.check(result)
                     checked.append((op.label, problems))
+                    if problems:
+                        line += f" | failed: {problems[0]}"
+                per_op.append(line)
         if failures:
             report += failure_lines(f"{workload} seed={seed}", checked)
             every += checked
