@@ -105,8 +105,8 @@ class PathSpec:
             raise ValueError("ratio must lie in (0, 1)")
         if not 0.0 < self.r0 < 2.0 * math.cos(self.angle):
             raise ValueError("need 0 < r0 < 2 cos(angle) to stay inside the disk")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        if self.count < 2:
+            raise ValueError("count must be >= 2 to fit a slope")
 
     @property
     def stolz_constant(self):
@@ -126,17 +126,18 @@ def estimate_order_on_path(f, path, z1):
     A heuristic order estimate for black-box functions; for a rational f the
     exact Taylor valuation is preferred and this estimate agrees with it to
     within a fraction of a unit. Values below 1e-300 count as evidence that
-    f vanishes identically; if all are, the slope is INF.
+    f vanishes identically; if all are, the slope is INF. Fewer than two
+    values above it, but not none, raise ValueError.
     """
     path = np.asarray(path, dtype=complex)
     vals = np.array([abs(complex(f(z))) for z in path])
     keep = vals > 1e-300
     if not np.any(keep):
         return INF
+    if np.count_nonzero(keep) < 2:
+        raise ValueError("a slope needs at least two nonvanishing values")
     x = np.log(np.abs(path[keep] - complex(z1)))
     y = np.log(vals[keep])
-    if x.size < 2:
-        return INF
     slope = np.polyfit(x, y, 1)[0]
     return float(slope)
 
@@ -162,14 +163,29 @@ def schur_circle_check(s):
     By the maximum principle this decides the Schur property for functions
     analytic on the closed disk. Raises NotSchur beyond tolerance.
     """
-    s = as_rational(s)
+    return _schur_on_circle(as_rational(s))[0]
+
+
+def _schur_on_circle(s):
+    """schur_circle_check of a RationalFn, also returning (sup, N, D): the
+    values N, D of s.num and s.den at the circle samples."""
     for p in s.poles():
         if abs(p) < 1.0 + 1e-9 and abs(abs(p) - 1.0) > 1e-9:
             raise NotSchur(f"pole at {p} inside the disk")
-    sup = float(np.max(np.abs(s(_CIRCLE))))
-    if sup > 1.0 + CIRCLE_TOL:
+    num, den = s.num(_CIRCLE), s.den(_CIRCLE)
+    sup = float(np.max(np.abs(num / den)))
+    if not sup <= 1.0 + CIRCLE_TOL:  # NaN too: 0/0 at a sample decides nothing
         raise NotSchur(f"circle modulus reaches {sup:.6g}")
-    return sup
+    return sup, num, den
+
+
+def _verdict(excess, tol):
+    """(holds, witness) from per-sample excesses: the worst sample, moved into
+    the disk to radius 1 - 1e-6, witnesses an excess above tol."""
+    i = int(np.argmax(excess))
+    if excess[i] > tol:
+        return False, complex(_CIRCLE[i] * (1.0 - 1e-6))
+    return True, None
 
 
 @dataclass(frozen=True)
@@ -266,52 +282,33 @@ def rigidity_check(data, x, s):
 
 
 def polar_grid():
-    """Polar grid of 40 radii up to 0.995 by 40 angles for disk-wide checks."""
+    """Polar grid of 40 radii up to 0.995 by 40 angles in the disk."""
     radii = np.linspace(0.995 / 40, 0.995, 40)
     angles = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
-# The points of every disk-wide check, computed once; read-only.
-_POLAR_GRID = polar_grid()
-_POLAR_GRID.flags.writeable = False
-
-
 def horocycle_check(s, alpha):
     """Whether s maps the disk into the horocycle at 1 of size alpha/(1-alpha).
 
-    Checks the Julia quotient |1 - s(z)|^2 / (1 - |s(z)|^2) < alpha/(1-alpha)
-    on polar_grid(), with s evaluated once over the whole grid; returns
-    (holds, witness) with the first violating point in grid order, if any.
-    Raises ModulusAtLeastOne, as julia_quotient does, when
-    |s| >= 1 - MODULUS_MARGIN at a grid point before the first violation.
-    Points where s is NaN are skipped. The horocycle is the disk of radius
-    alpha centered at 1-alpha, internally tangent to the unit circle at 1.
+    The horocycle is the disk of radius alpha centered at 1-alpha,
+    internally tangent to the unit circle at 1. For Schur s = N / D (NotSchur
+    otherwise) containment means Re((1+s)/(1-s)) >= (1-alpha)/alpha, which is
+    harmonic, so it is decided on the circle samples: it holds when
+    L = |D|^2 - |N|^2 - ((1-alpha)/alpha) |D-N|^2 >= -CIRCLE_TOL times the sum
+    of the three terms at each. Returns (holds, witness of least L / terms).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return _horocycle(as_rational(s)(_POLAR_GRID), alpha)
+    _, num, den = _schur_on_circle(as_rational(s))
+    return _horocycle(num, den, alpha)
 
 
-def _horocycle(values, alpha):
-    """horocycle_check on the values of s at the points of _POLAR_GRID."""
-    pts = _POLAR_GRID
-    bound = alpha / (1.0 - alpha)
-    m = np.abs(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = np.abs(values - 1.0) ** 2 / (1.0 - m * m)
-    too_large = m >= 1.0 - MODULUS_MARGIN
-    hits = np.flatnonzero(too_large | (quotient >= bound))
-    if hits.size == 0:
-        return True, None
-    i = hits[0]
-    if too_large[i]:
-        raise ModulusAtLeastOne(f"|s({pts[i]})| = {m[i]:.12g}")
-    return False, complex(pts[i])
-
-
-def _affine_data(alpha):
-    return InterpData(z1=1.0, k=1, tau0=1.0, tau=(alpha,), z0=-1.0)
+def _horocycle(num, den, alpha):
+    """horocycle_check on the values of s.num and s.den at the samples."""
+    nn, dd = np.abs(num) ** 2, np.abs(den) ** 2
+    gap = (1.0 - alpha) / alpha * np.abs(den - num) ** 2
+    return _verdict((nn + gap - dd) / (dd + nn + gap), CIRCLE_TOL)
 
 
 def affine_lft_bound(s, alpha):
@@ -320,26 +317,23 @@ def affine_lft_bound(s, alpha):
     Pulls the parameter bound through the inverse transform of the
     fixed-derivative problem: with the linear expressions
     top = (2a+1 - z(2a-1)) s(z) - (1+z) and bot = (2a-1 - z(2a+1)) + (1+z) s(z),
-    the bound reads |top| <= |1-2a| |bot| for every z in the disk. (The
-    inequality is stated here directly from the inverse transform; it is the
-    algebraic form of the parameter bound.)
+    the bound reads |top| <= |1-2a| |bot|, within 1e-9 (1 + max|top|). For
+    Schur s (NotSchur otherwise) the parameter has no disk pole, so the
+    circle samples decide it. Returns (holds, witness of largest excess).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return _lft_bound(as_rational(s)(_POLAR_GRID), alpha)
+    _, num, den = _schur_on_circle(as_rational(s))
+    return _lft_bound(num / den, alpha)
 
 
 def _lft_bound(sv, alpha):
-    """affine_lft_bound on the values sv of s at the points of _POLAR_GRID."""
-    pts, a = _POLAR_GRID, alpha
-    top = (2 * a + 1 - pts * (2 * a - 1)) * sv - (1 + pts)
-    bot = (2 * a - 1 - pts * (2 * a + 1)) + (1 + pts) * sv
+    """affine_lft_bound on the values sv of s at the circle samples."""
+    z, a = _CIRCLE, alpha
+    top = (2 * a + 1 - z * (2 * a - 1)) * sv - (1 + z)
+    bot = (2 * a - 1 - z * (2 * a + 1)) + (1 + z) * sv
     slack = np.abs(top) - abs(1 - 2 * a) * np.abs(bot)
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(top))))
-    bad = np.nonzero(slack > tol)[0]
-    if bad.size:
-        return False, complex(pts[bad[0]])
-    return True, None
+    return _verdict(slack, 1e-9 * (1.0 + float(np.max(np.abs(top)))))
 
 
 @dataclass(frozen=True)
@@ -364,24 +358,24 @@ class EquivalenceReport:
 
     @property
     def consistent(self):
-        flags = (self.identity, self.parameter_const, self.parameter_bound, self.horocycle)
-        return all(flags) or not any(flags)
+        flags = (self.identity, self.parameter_const, self.parameter_bound)
+        return len(set(flags + (self.lft_bound, self.horocycle))) == 1
 
 
 def affine_equivalences(s, alpha):
     """Evaluate the equivalent characterizations of s = alpha z + 1 - alpha.
 
     Requires a Schur candidate matching the affine map to fourth order at 1
-    (HypothesisNotMet otherwise). The five conditions must agree; the report
-    carries each verdict, a horocycle witness when one exists, and the
-    recovered parameter. For alpha outside (0, 1) the problem degenerates
-    (at alpha = 0 a second-order contact alone forces s == 1) and is
-    rejected.
+    (HypothesisNotMet otherwise), evaluated once on the circle samples. The
+    five conditions must agree; the report carries each verdict, a horocycle
+    witness when one exists, and the recovered parameter. For alpha outside
+    (0, 1) the problem degenerates (at alpha = 0 a second-order contact alone
+    forces s == 1) and is rejected.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     s = as_rational(s)
-    data = _affine_data(alpha)
+    data = InterpData(z1=1.0, k=1, tau0=1.0, tau=(alpha,), z0=-1.0)
     report = verify_expansion(s, data)
     if not report.passed:
         raise HypothesisNotMet(f"candidate does not match the first-order data: {report}")
@@ -391,6 +385,10 @@ def affine_equivalences(s, alpha):
         raise HypothesisNotMet(
             f"candidate only matches the affine map to order {deviation} < 4 at 1"
         )
+    try:
+        _, num, den = _schur_on_circle(s)
+    except NotSchur as exc:
+        raise HypothesisNotMet(f"candidate is not Schur: {exc}") from exc
     identity = deviation == INF
     s1 = recover_parameter(s, data)
     target = 1.0 - 2.0 * alpha
@@ -400,9 +398,8 @@ def affine_equivalences(s, alpha):
     else:
         sup = float(np.max(np.abs(s1(_CIRCLE))))
         param_bound = sup <= abs(target) + 1e-9
-    values = s(_POLAR_GRID)
-    lft_ok, _ = _lft_bound(values, alpha)
-    horo, witness = _horocycle(values, alpha)
+    lft_ok, _ = _lft_bound(num / den, alpha)
+    horo, witness = _horocycle(num, den, alpha)
     return EquivalenceReport(
         alpha=alpha,
         identity=identity,

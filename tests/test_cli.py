@@ -169,6 +169,25 @@ class TestRigidity:
         assert eq["identity"] is False and eq["horocycle"] is False
         assert eq["witness"] is not None
 
+    def test_non_schur_candidate_has_no_equivalence_block(self, tmp_path, capsys):
+        prob = write(
+            tmp_path, "p.json", {"z1": [1, 0], "k": 1, "tau0": [1, 0], "tau": [[0.5, 0]]}
+        )
+        # (1+z)/2 + 10 (z-1)^4 matches to fourth order but reaches modulus 161
+        cand = write(
+            tmp_path,
+            "c.json",
+            {
+                "num": [[10.5, 0], [-39.5, 0], [60, 0], [-40, 0], [10, 0]],
+                "den": [[1, 0]],
+            },
+        )
+        code, rep = run_json(
+            ["rigidity", prob, "--contact", "-1", "0", "--candidate", cand], capsys
+        )
+        assert code == 0
+        assert rep["equivalences"] is None
+
 
 class TestFactor:
     def test_reciprocal(self, tmp_path, capsys):
@@ -199,7 +218,7 @@ class TestDemos:
         assert all(row["passed"] for row in rep["checks"])
 
     def test_alpha_values(self, capsys):
-        for alpha in (0.25, 0.75):
+        for alpha in (0.25, 0.75, 0.9876, 0.99, 0.999):
             code, rep = run_json(["demo", "alpha", "--alpha", str(alpha)], capsys)
             assert code == 0 and rep["status"] == "pass"
 

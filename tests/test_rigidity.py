@@ -1,5 +1,10 @@
 """Paths, order estimation, Julia quotients, rigidity verdicts, horocycles."""
 
+import dataclasses
+import functools
+from collections import Counter
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -31,7 +36,9 @@ from schurkit.rigidity import (
     polar_grid,
     quartic_perturbation,
     rigidity_check,
+    schur_circle_check,
 )
+from schurkit.tolerances import CIRCLE_TOL
 
 D4 = InterpData(z1=1.0, k=1, tau0=1.0, tau=(1.0,), z0=-1.0)
 D5 = InterpData(z1=1.0, k=1, tau0=1.0, tau=(-1.0,), z0=-1.0)
@@ -84,6 +91,8 @@ class TestPaths:
             PathSpec(angle=np.pi / 2)
         with pytest.raises(ValueError):
             PathSpec(ratio=1.0)
+        with pytest.raises(ValueError, match="count"):
+            PathSpec(count=1)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_rejects_non_finite_endpoint(self, bad):
@@ -111,6 +120,13 @@ class TestOrderEstimate:
 
     def test_zero_function_reports_inf(self):
         assert estimate_order_on_path(lambda z: 0.0, nontangential_path(FIT_PATH), 1.0) == INF
+
+    def test_one_usable_value_is_refused(self):
+        path = nontangential_path(FIT_PATH)
+        with pytest.raises(ValueError, match="two"):
+            estimate_order_on_path(RationalFn.constant(1.0), path[:1], 1.0)
+        with pytest.raises(ValueError, match="two"):
+            estimate_order_on_path(lambda z: float(z == path[0]), path, 1.0)
 
     def test_agrees_with_exact_orders(self, rng):
         for m in (1, 2, 3, 4):
@@ -315,56 +331,107 @@ class TestHorocycle:
             assert holds
 
 
-def scalar_horocycle(s, alpha):
-    """Reference: one julia_quotient call per point of polar_grid()."""
-    bound = alpha / (1.0 - alpha)
-    for z in polar_grid():
-        if julia_quotient(s, z, 1.0) >= bound:
-            return False, complex(z)
-    return True, None
-
-
-def outcome(check, s, alpha):
-    with np.errstate(all="ignore"):
+def quartic(alpha):
+    """The demo's quartic: beta halved from 1/20 until it is Schur."""
+    beta = 1.0 / 20.0
+    while True:
         try:
-            return check(s, alpha)
-        except ModulusAtLeastOne as exc:
-            return type(exc), str(exc)
+            return quartic_perturbation(alpha, beta)
+        except NotSchur:
+            beta *= 0.5
 
 
-def nan_at_first_grid_point():
-    """0.5 everywhere, left as 0/0 (NaN) at the first grid point."""
-    p = complex(polar_grid()[0])
-    return RationalFn(Poly([-0.5 * p, 0.5]), Poly([-p, 1.0]), reduce=False)
+SEEDED_ALPHAS = tuple(np.random.default_rng(1701).uniform(0.1, 0.9, 200))
+NEAR_ONE = (0.9876, 0.99, 0.995, 0.999)
+C0 = complex(rigidity._CIRCLE[0])
+FAMILIES = {"affine": affine, "quartic": quartic, "z": lambda alpha: RationalFn.x()}
 
 
-class TestHorocycleMatchesScalarLoop:
+def _horner(coeffs, z):
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = c + acc * z
+    return acc
+
+
+def _abs2(w):
+    return w.real * w.real + w.imag * w.imag
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_circle(n=2048):
+    with mp.workdps(30):
+        return [mp.expjpi(mp.mpf(2 * j) / n) for j in range(n)]
+
+
+def oracle_least_ratio(s, alpha):
+    """Least L / terms of horocycle_check on a 2048-point circle, in 30 digits."""
+    with mp.workdps(30):
+        num = [mp.mpc(complex(c)) for c in s.num.coeffs]
+        den = [mp.mpc(complex(c)) for c in s.den.coeffs]
+        c = (1 - mp.mpf(alpha)) / mp.mpf(alpha)
+        least = mp.inf
+        for z in _oracle_circle():
+            n, d = _horner(num, z), _horner(den, z)
+            nn, dd, gap = _abs2(n), _abs2(d), c * _abs2(d - n)
+            least = min(least, (dd - nn - gap) / (dd + nn + gap))
+        return float(least)
+
+
+class TestBoundaryVerdictsMatchOracle:
+    """horocycle_check and affine_lft_bound read the 512 circle samples; the
+    oracle reads four times as many points in 30 digits."""
+
+    @pytest.mark.parametrize("alpha", SEEDED_ALPHAS[:3] + NEAR_ONE)
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_verdicts(self, kind, alpha):
+        s = FAMILIES[kind](alpha)
+        least = oracle_least_ratio(s, alpha)
+        # every case is far from the tolerance, so the verdict is not a coin toss
+        assert least > -1e-12 or least < -1e-5
+        holds = least >= -CIRCLE_TOL
+        assert holds == (kind == "affine")
+        assert horocycle_check(s, alpha)[0] == holds
+        # For these three families the LFT bound holds exactly when the
+        # horocycle does (the fixed-derivative equivalence for affine and
+        # quartic; |parameter| = 1 on the circle for z).
+        assert affine_lft_bound(s, alpha)[0] == holds
+
+    @pytest.mark.parametrize("kind", ["quartic", "z"])
+    def test_witness_quotient_exceeds_the_bound(self, kind):
+        for alpha in SEEDED_ALPHAS + NEAR_ONE:
+            s = FAMILIES[kind](alpha)
+            holds, witness = horocycle_check(s, alpha)
+            assert not holds and abs(abs(witness) - (1.0 - 1e-6)) < 1e-15
+            assert julia_quotient(s, witness, 1.0) >= alpha / (1.0 - alpha)
+
+    def test_holding_verdict_holds_on_the_disk(self):
+        # The circle decides the disk: where the check holds, the Julia
+        # quotient stays below the bound on the polar grid inside.
+        for alpha in SEEDED_ALPHAS[:3]:
+            assert horocycle_check(affine(alpha), alpha) == (True, None)
+            bound = alpha / (1.0 - alpha)
+            assert all(julia_quotient(affine(alpha), z, 1.0) < bound for z in polar_grid())
+
     @pytest.mark.parametrize(
-        "s,alpha,expected",
+        "s",
         [
-            (affine(0.5), 0.5, "holds"),
-            (quartic_half(), 0.5, "witness"),
-            (RationalFn.x(), 0.5, "witness"),
-            # s = 3z: the quotient crosses 1 in the first ring, before |s| >= 1 ...
-            (RationalFn(Poly([0.0, 3.0]), Poly.one()), 0.5, "witness"),
-            # ... but stays below 99 until |s| passes 1 at the start of ring 14.
-            (RationalFn(Poly([0.0, 3.0]), Poly.one()), 0.99, "modulus"),
-            (nan_at_first_grid_point(), 0.5, "holds"),
-            (nan_at_first_grid_point(), 0.2, "witness"),
+            RationalFn(Poly([0.0, 3.0]), Poly.one()),
+            # 0.5 everywhere, left unreduced with a removable pole in the disk
+            RationalFn(Poly([-0.25, 0.5]), Poly([-0.5, 1.0]), reduce=False),
+            # 3z, left unreduced with a removable pole at a circle sample (0/0)
+            RationalFn(Poly([0.0, 3.0]) * Poly([-C0, 1.0]), Poly([-C0, 1.0]), reduce=False),
         ],
+        ids=["3z", "removable-pole", "nan-at-a-sample"],
     )
-    def test_same_verdict_witness_and_error(self, s, alpha, expected):
-        got = outcome(horocycle_check, s, alpha)
-        assert got == outcome(scalar_horocycle, s, alpha)
-        if expected == "modulus":
-            assert got[0] is ModulusAtLeastOne
-        else:
-            assert got[0] is (expected == "holds")
-            assert (got[1] is None) == (expected == "holds")
-
-    def test_nan_point_is_skipped(self):
-        _, witness = outcome(horocycle_check, nan_at_first_grid_point(), 0.2)
-        assert witness == complex(polar_grid()[1])
+    def test_non_schur_input_is_refused(self, s):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NotSchur):
+                schur_circle_check(s)
+            with pytest.raises(NotSchur):
+                horocycle_check(s, 0.5)
+            with pytest.raises(NotSchur):
+                affine_lft_bound(s, 0.5)
 
 
 class TestEquivalences:
@@ -408,55 +475,51 @@ class TestEquivalences:
         with pytest.raises(ValueError):
             affine_equivalences(affine(0.5), 1.0)
 
+    def test_non_schur_candidate_is_refused(self):
+        # matches the affine map to order 4 at 1, but reaches modulus 161
+        s = affine(0.5) + RationalFn(Poly([1, -1]) ** 4, Poly.one()) * 10.0
+        with pytest.raises(HypothesisNotMet, match="not Schur"):
+            affine_equivalences(s, 0.5)
+
+    def test_consistent_reads_all_five_flags(self):
+        rep = affine_equivalences(affine(0.3), 0.3)
+        assert rep.consistent
+        assert not dataclasses.replace(rep, lft_bound=False).consistent
+
     def test_lft_bound_matches_parameter_bound(self):
         ok_affine, _ = affine_lft_bound(affine(0.4), 0.4)
         ok_quartic, _ = affine_lft_bound(quartic_half(), 0.5)
         assert ok_affine and not ok_quartic
 
 
-class TestSharedPolarGrid:
-    """affine_equivalences evaluates s once on the module's read-only polar
-    grid and reads the LFT bound and the horocycle from those values."""
-
-    @staticmethod
-    def quartic(alpha):
-        beta = 1.0 / 20.0
-        while True:
-            try:
-                return quartic_perturbation(alpha, beta)
-            except NotSchur:
-                beta *= 0.5
+class TestSharedCircleSamples:
+    """affine_equivalences evaluates s once on the circle samples and reads
+    the Schur test, the LFT bound and the horocycle from those values."""
 
     @pytest.fixture
-    def grid_calls(self, monkeypatch):
-        """Number of evaluations of a RationalFn at the shared grid."""
-        count = [0]
-        call = RationalFn.__call__
+    def circle_calls(self, monkeypatch):
+        """Evaluations at the circle samples, by id of the polynomial."""
+        count = Counter()
+        call = Poly.__call__
 
         def counted(self, z):
-            count[0] += z is rigidity._POLAR_GRID
+            if z is rigidity._CIRCLE:
+                count[id(self)] += 1
             return call(self, z)
 
-        monkeypatch.setattr(RationalFn, "__call__", counted)
+        monkeypatch.setattr(Poly, "__call__", counted)
         return count
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("kind", ["affine", "quartic"])
-    def test_matches_the_public_checks(self, grid_calls, kind, alpha):
-        s = affine(alpha) if kind == "affine" else self.quartic(alpha)
+    def test_matches_the_public_checks(self, circle_calls, kind, alpha):
+        s = FAMILIES[kind](alpha)
+        circle_calls.clear()  # quartic_perturbation runs schur_circle_check
         rep = affine_equivalences(s, alpha)
-        assert grid_calls[0] == 1
+        assert circle_calls[id(s.num)] == 1 and circle_calls[id(s.den)] == 1
         assert rep.lft_bound == affine_lft_bound(s, alpha)[0]
         assert (rep.horocycle, rep.witness) == horocycle_check(s, alpha)
         assert rep.horocycle == (kind == "affine")
-
-    def test_grid_is_read_only(self):
-        grid = rigidity._POLAR_GRID
-        assert not grid.flags.writeable
-        with pytest.raises(ValueError):
-            grid[0] = 0.0
-        assert grid.tobytes() == polar_grid().tobytes()
-        assert polar_grid().flags.writeable
 
 
 class TestCayleyDecomposition:
