@@ -7,6 +7,7 @@ number of negative squares, read off from sampled Gram matrices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,13 @@ from .errors import (
     PoleProximity,
 )
 from .rational import RationalFn, as_rational
-from .tolerances import DIAG_TOL, HERM_TOL, POLE_CLEARANCE, SAMPLE_CLEARANCE
+from .tolerances import (
+    CIRCLE_TOL,
+    DIAG_TOL,
+    HERM_TOL,
+    POLE_CLEARANCE,
+    SAMPLE_CLEARANCE,
+)
 
 __all__ = [
     "HermitianSample",
@@ -69,6 +76,12 @@ class SamplePlan:
     initial_points: int = 8
 
     def __post_init__(self):
+        for name in ("max_points", "seed", "initial_points"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                    raise ValueError(f"{name} must be an integer, not {value!r}")
+                object.__setattr__(self, name, int(value))  # numpy integers wrap around
         if not 0.0 < self.radius < 1.0:
             raise ValueError("radius must lie in (0, 1)")
         if self.initial_points < 2 or self.max_points < self.initial_points:
@@ -145,6 +158,36 @@ def hermitian_eigenvalues(matrix):
     return np.linalg.eigvalsh(np.asarray(matrix, dtype=complex))
 
 
+def _hermitian(sample):
+    """(H, noise): the Hermitian matrix `inertia` counts and the error its
+    entries carry, after the checks that raise NotHermitian."""
+    if isinstance(sample, HermitianSample):
+        if not sample.asymmetry <= HERM_TOL:
+            raise NotHermitian(f"asymmetry {sample.asymmetry:.3g} exceeds {HERM_TOL:.3g}")
+        return sample.entries, sample.noise
+    H = np.asarray(sample, dtype=complex)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise NotHermitian(f"array of shape {H.shape} is not a square matrix")
+    if not np.isfinite(H).all():
+        raise NotHermitian("matrix has a NaN or infinite entry")
+    noise = float(np.abs(H - H.conj().T).max(initial=0.0))
+    if noise > HERM_TOL * float(np.abs(H).max(initial=0.0)):
+        raise NotHermitian("matrix asymmetry exceeds tolerance")
+    return 0.5 * (H + H.conj().T), noise
+
+
+def _counted(eig, n, noise, scale):
+    """(Inertia, band) of an n x n matrix with eigenvalues `eig` and
+    n - len(eig) zeros, its entries of modulus at most `scale`: the zero
+    band and the counts outside it, as `inertia` takes them."""
+    # 8 eps per dimension: an exactly Hermitian B B* of rank r keeps its
+    # n - r zeros from 0.5 eps up; counts of known kappa first drop at 256 eps.
+    band = n * (noise + 8.0 * np.finfo(float).eps * scale)
+    n_pos = int(np.count_nonzero(eig > band))
+    n_neg = int(np.count_nonzero(eig < -band))
+    return Inertia(n_pos=n_pos, n_neg=n_neg, n_zero=n - n_pos - n_neg), band
+
+
 def inertia(sample):
     """Counts of eigenvalues above, below, and inside the zero band.
 
@@ -156,30 +199,67 @@ def inertia(sample):
     raw array that is not square or has a NaN or infinite entry, or a sample
     with NaN asymmetry, raises NotHermitian: it has no countable eigenvalues.
     """
-    if isinstance(sample, HermitianSample):
-        if not sample.asymmetry <= HERM_TOL:
-            raise NotHermitian(f"asymmetry {sample.asymmetry:.3g} exceeds {HERM_TOL:.3g}")
-        H = sample.entries
-        noise = sample.noise
-    else:
-        H = np.asarray(sample, dtype=complex)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise NotHermitian(f"array of shape {H.shape} is not a square matrix")
-        if not np.isfinite(H).all():
-            raise NotHermitian("matrix has a NaN or infinite entry")
-        noise = float(np.abs(H - H.conj().T).max(initial=0.0))
-        if noise > HERM_TOL * float(np.abs(H).max(initial=0.0)):
-            raise NotHermitian("matrix asymmetry exceeds tolerance")
-        H = 0.5 * (H + H.conj().T)
-    n = H.shape[0]
+    H, noise = _hermitian(sample)
     eig = hermitian_eigenvalues(H)
-    scale = float(np.abs(H).max(initial=0.0))
-    # 8 eps per dimension: an exactly Hermitian B B* of rank r keeps its
-    # n - r zeros from 0.5 eps up; counts of known kappa first drop at 256 eps.
-    band = n * (noise + 8.0 * np.finfo(float).eps * scale)
-    n_pos = int(np.count_nonzero(eig > band))
-    n_neg = int(np.count_nonzero(eig < -band))
-    return Inertia(n_pos=n_pos, n_neg=n_neg, n_zero=n - n_pos - n_neg)
+    return _counted(eig, H.shape[0], noise, float(np.abs(H).max(initial=0.0)))[0]
+
+
+# The range path's size rule: per round it beats the dense eigensolver from
+# 64 points and loses at 32 (README, "Numerical conventions", has the
+# timings), and it needs a sample several times its d-dimensional range.
+_RANGE_MIN_POINTS = 64
+_RANGE_POINTS_PER_DEGREE = 4
+
+
+def _is_unimodular(s):
+    """Whether |s| = 1 on the unit circle: N N# = D D# coefficient-wise within
+    CIRCLE_TOL of max|D D#|, where P#(z) = z^d conj(P(1/conj(z))) at the
+    degree d of s = N / D."""
+    d = s.degree
+
+    def times_reflection(p):  # P P#
+        c = np.zeros(d + 1, dtype=complex)
+        c[: p.coeffs.size] = p.coeffs
+        return np.convolve(c, c[::-1].conj())
+
+    nn, dd = times_reflection(s.num), times_reflection(s.den)
+    return float(np.abs(nn - dd).max()) <= CIRCLE_TOL * float(np.abs(dd).max())
+
+
+def _range_inertia(sample, den, d):
+    """`inertia(sample)` read on the sample's range, or None where that
+    reading does not certify it; for the Gram sample of a unimodular
+    function of degree d with denominator `den`.
+
+    Such a kernel has rank d: every section is a polynomial of degree < d
+    over `den`. With Q the orthonormal basis of F = [z_i^j / den(z_i)],
+    j < d, the sample H is Q C Q* + E for C = Q* H Q, so its eigenvalues are
+    those of C and n - d zeros, each moved by at most
+    delta = ||E||_F + 4 (d + 2) eps ||H||_F + 8 n eps (max|mu| + ||E||_F):
+    the residual, the rounding of Q and C, and 8 n times the `EPS ||A||_2`
+    error of the eigenvalues `inertia` computes. The counts are `inertia`'s
+    when delta < band and no eigenvalue mu of C lies within delta of the
+    band. Raises NotHermitian as `inertia` does.
+    """
+    H, noise = _hermitian(sample)
+    n = H.shape[0]
+    V = np.vander(sample.points, d + 1, increasing=True)
+    Q = np.linalg.qr(V[:, :d] / (V[:, : den.coeffs.size] @ den.coeffs)[:, None])[0]
+    Qh = Q.conj().T
+    C = Qh @ (H @ Q)
+    C = 0.5 * (C + C.conj().T)
+    E = (Q @ C) @ Qh
+    np.subtract(H, E, out=E)
+    residual = np.sqrt(np.vdot(E, E).real)  # Frobenius norms as one BLAS pass
+    mu = hermitian_eigenvalues(C)
+    eps = np.finfo(float).eps
+    peak = float(np.abs(mu).max(initial=0.0))
+    delta = residual + 4 * (d + 2) * eps * np.sqrt(np.vdot(H, H).real)
+    delta += 8 * n * eps * (peak + residual)
+    result, band = _counted(mu, n, noise, float(np.abs(H).max(initial=0.0)))
+    if delta < band and not np.any(np.abs(np.abs(mu) - band) <= delta):
+        return result
+    return None
 
 
 def _pole_probes(poles, clearance):
@@ -239,10 +319,14 @@ def estimate_negative_squares(s, plan=SamplePlan()):
     negative directions of the kernel live), then draws seeded random points
     in a disk of the plan's radius (avoiding poles by SAMPLE_CLEARANCE),
     doubling the nested point set each round; returns the largest negative
-    count once it has not changed for 3 consecutive rounds. This is a
-    lower-bound estimator: sampling can only certify negative squares it has
-    seen, never exclude larger ones; with the pole probes it is exact on the
-    rank-structured rational functions targeted here.
+    count once it has not changed for 3 consecutive rounds. A round whose
+    point set did not grow (the probes outnumber its count) keeps the last
+    count rather than sampling the same points again. A unimodular s of
+    degree d is counted on the sample's range once the sample has at least
+    max(64, 4 d) points (`_range_inertia`), elsewhere by `inertia`. This is
+    a lower-bound estimator: sampling can only certify negative squares it
+    has seen, never exclude larger ones; with the pole probes it is exact on
+    the rank-structured rational functions targeted here.
     """
     s = as_rational(s)
     rng = np.random.default_rng(plan.seed)
@@ -250,12 +334,26 @@ def estimate_negative_squares(s, plan=SamplePlan()):
     pts: list[complex] = _pole_probes(poles, SAMPLE_CLEARANCE)
     best = 0
     stable = 0
+    n_neg = 0
+    sampled = -1  # points in the last sample built
+    unimodular = None  # decided at the first round of _RANGE_MIN_POINTS points
     count = plan.initial_points
     while True:
         pts = _draw_points(rng, count, plan.radius, SAMPLE_CLEARANCE, poles, pts)
-        result = inertia(gram_matrix(s, pts))
-        if result.n_neg > best:
-            best = result.n_neg
+        if len(pts) > sampled:
+            sampled = len(pts)
+            sample = gram_matrix(s, pts)
+            result = None
+            if sampled >= _RANGE_MIN_POINTS:
+                if unimodular is None:
+                    unimodular = _is_unimodular(s)
+                if unimodular and sampled >= _RANGE_POINTS_PER_DEGREE * s.degree:
+                    result = _range_inertia(sample, s.den, s.degree)
+            if result is None:
+                result = inertia(sample)
+            n_neg = result.n_neg
+        if n_neg > best:
+            best = n_neg
             stable = 1
         else:
             stable += 1

@@ -408,8 +408,14 @@ class RationalFn:
         cd = cd / lead
         cd[-1] = 1.0
         cn = cn / lead
-        self.num = Poly(cn, trim=False)
-        self.den = Poly(cd, trim=False)
+        try:
+            self.num = Poly(cn, trim=False)
+            self.den = Poly(cd, trim=False)
+        except ValueError:  # finite coefficients over a tiny leading one
+            raise ValueError(
+                f"dividing by the leading denominator coefficient {complex(lead)!r} "
+                "gives a non-finite coefficient"
+            ) from None
         if self.num.degree > MAX_DEGREE or self.den.degree > MAX_DEGREE:
             raise DegreeLimitExceeded(
                 f"degree {max(self.num.degree, self.den.degree)} exceeds cap {MAX_DEGREE}"

@@ -288,6 +288,29 @@ class TestEstimator:
             estimate_negative_squares(RECIP, SamplePlan(radius=1e-3))
 
 
+class TestSamplePlan:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"initial_points": 8.5},
+            {"seed": 1.5},
+            {"max_points": 40.5},
+            {"initial_points": True},
+            {"seed": False},
+            {"max_points": np.float64(64.0)},
+        ],
+        ids=["fractional-initial", "fractional-seed", "fractional-max", "bool-initial",
+             "bool-seed", "float-max"],
+    )
+    def test_refuses_non_integer_fields(self, fields):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SamplePlan(**fields)
+
+    def test_accepts_numpy_integers(self):
+        plan = SamplePlan(max_points=np.int64(32), seed=np.uint32(7), initial_points=np.int8(8))
+        assert estimate_negative_squares(RECIP, plan) == 1
+
+
 # Reference copies of the one-point-at-a-time sampler and the allocating Gram
 # build; the array versions in kernels.py must match them bit for bit and
 # consume the seeded stream exactly as they do.
@@ -608,3 +631,92 @@ class TestInertiaBitwise:
     @example(2, 16, 1.0, False)
     def test_raw_array(self, seed, n, skew, real):
         check_inertia(_near_hermitian(seed, n, skew, real))
+
+
+# The range path: a unimodular function's Gram sample counted on its
+# d-dimensional range must give inertia's counts whenever it answers.
+
+
+def _unimodular_rational(zeros, poles, c):
+    """c B(zeros) / B(poles), |c| = 1: unimodular of degree len(zeros) + len(poles)."""
+    bz = BlaschkeProduct(zeros, c).as_rational()
+    bp = BlaschkeProduct(poles).as_rational()
+    return RationalFn(bz.num * bp.den, bz.den * bp.num, reduce=False)
+
+
+def _estimator_sample(s, count, seed):
+    poles = s.poles()
+    pts = _draw_points(np.random.default_rng(seed), count, 0.9, 0.05, poles, _pole_probes(poles, 0.05))
+    return gram_matrix(s, pts)
+
+
+_range_points = st.lists(st.builds(polar, st.floats(0.0, 0.9), _angles), max_size=8)
+
+
+class TestRangeInertia:
+    @_bitwise
+    @given(_range_points, _range_points, _angles, st.integers(64, 128), _seeds)
+    def test_agrees_with_inertia(self, zeros, poles, phase, count, seed):
+        s = _unimodular_rational(zeros, poles, polar(1.0, phase))
+        assert kernels._is_unimodular(s)
+        sample = outcome(_estimator_sample, s, count, seed)
+        if isinstance(sample, Exception):
+            return
+        got = inertia_outcome(lambda x: kernels._range_inertia(x, s.den, s.degree), sample)
+        ref = inertia_outcome(inertia, sample)
+        if got is not None:
+            assert same_outcome(got, ref, lambda a, b: a == b)
+
+    def test_answers_on_the_estimator_sample(self):
+        s = _unimodular_rational([0.3, -0.5j, 0.7 + 0.1j], [0.4j, -0.6], 1j)
+        sample = _estimator_sample(s, 128, 1)
+        got = kernels._range_inertia(sample, s.den, s.degree)
+        assert got == inertia(sample) == Inertia(n_pos=3, n_neg=2, n_zero=123)
+
+    def test_inflated_entries_fall_back(self):
+        s = _unimodular_rational([0.3, -0.5j], [0.4j], 1j)
+        sample = _estimator_sample(s, 96, 2)
+        assert kernels._range_inertia(sample, s.den, s.degree) is not None
+        # a full-rank Hermitian bump far above the zero band leaves the range
+        bump = _near_hermitian(3, 96, 0.0, False)
+        bump *= 1e-6 * np.max(np.abs(sample.entries)) / np.max(np.abs(bump))
+        inflated = HermitianSample(sample.points, sample.entries + bump, sample.asymmetry, sample.noise)
+        assert kernels._range_inertia(inflated, s.den, s.degree) is None
+
+    def test_asymmetry_raises_first(self):
+        s = _unimodular_rational([0.3], [0.4j], 1.0)
+        sample = _estimator_sample(s, 64, 4)
+        skewed = HermitianSample(sample.points, sample.entries, 2 * HERM_TOL, sample.noise)
+        with pytest.raises(NotHermitian):
+            kernels._range_inertia(skewed, s.den, s.degree)
+
+    def test_not_unimodular_is_never_tried(self):
+        s = _unimodular_rational([0.3, -0.5j], [0.4j], 1j) * 0.8
+        plan = SamplePlan(initial_points=128, max_points=128, seed=5)
+        assert not kernels._is_unimodular(s)
+        with mock.patch.object(kernels, "_range_inertia", wraps=kernels._range_inertia) as spy:
+            assert estimate_negative_squares(s, plan) == 1
+            spy.assert_not_called()
+            assert estimate_negative_squares(s / 0.8, plan) == 1
+            spy.assert_called_once()
+
+    def test_kappa_six_samples_grow(self):
+        # 18 pole probes outnumber the 8 and 16 points of the first rounds:
+        # the round that adds no points is not sampled again
+        s = _unimodular_rational([0.2j, -0.4], [0.5 * np.exp(1j * t) for t in range(6)], 1.0)
+        sizes = []
+        draws = []
+
+        def record_gram(s, pts):
+            sizes.append(len(pts))
+            return gram_matrix(s, pts)
+
+        def record_draw(*args):
+            draws.append(args[1])
+            return _draw_points(*args)
+
+        with mock.patch.object(kernels, "gram_matrix", record_gram), \
+                mock.patch.object(kernels, "_draw_points", record_draw):
+            assert estimate_negative_squares(s) == 6
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))
+        assert len(sizes) < len(draws)

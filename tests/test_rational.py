@@ -459,9 +459,20 @@ class TestScalarCoreBitwise:
 
     @_bitwise
     @given(st.lists(_coeffs, min_size=5, max_size=5), _scalars)
+    # A subnormal leading denominator coefficient: 2j over it overflows.
+    @example([[2j], [0j], [0j], [0j], [1.1125369292536007e-308j]], 0j)
     def test_shared_denominator_eval(self, c, z):
         den = Poly(c[4])
         if den.is_zero:
+            return
+        # Construction refuses exactly when making den monic leaves a
+        # coefficient that is not finite (or whose modulus overflows).
+        lead = den.coeffs[-1]
+        with np.errstate(all="ignore"):
+            monic = [Poly(n).coeffs / lead for n in c[:4]] + [den.coeffs[:-1] / lead]
+        if not all(np.isfinite(np.abs(a)).all() for a in monic):
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="leading denominator"):
+                [RationalFn(Poly(n), den, reduce=False) for n in c[:4]]
             return
         m = Mat2RF(*(RationalFn(Poly(n), den, reduce=False) for n in c[:4]))
         with np.errstate(all="ignore"):  # z may be a root of den

@@ -21,7 +21,10 @@ number of ops whose failed outcome differs between the sides, and the
 median ratio over the other ops alone. An op that turns from failing to
 passing may do different work on each side, so when a change moves
 failures the whole-deck ratio mixes that in; the ratio over the ops with
-the same outcome compares like with like. Only the
+the same outcome compares like with like. Last comes one line per op kind
+(the label without its `deg=` and `alpha=` values): its number of ops,
+their share of the deck and their median ratio, so a change confined to
+some kinds shows where it sits. Only the
 in-process workloads `interp` and `negsq` are supported: a `cli` op is one
 fresh interpreter, whose start-up dwarfs the library, and
 `tools/bench_pairs.py` compares it whole.
@@ -36,9 +39,11 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+from collections import defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -157,6 +162,12 @@ def compare(parent, change, workload, seeds, rounds):
     if same:
         print(f"  per-op ratio over the {len(same)} ops with the same failed outcome: "
               f"median {statistics.median(same):.4f}")
+    kinds = defaultdict(list)
+    for label, r in zip(sides["parent"].labels, ratios):
+        kinds[re.sub(r" (deg|alpha)=\S+", "", label)].append(r)
+    print("  per-op ratio by op kind:")
+    for kind, rs in sorted(kinds.items()):
+        print(f"    {kind:<32} {len(rs):>5} ops ({len(rs) / n:>6.1%})  median {statistics.median(rs):.4f}")
 
 
 def main():
