@@ -206,9 +206,8 @@ def inertia(sample):
 
 # The range path's size rule: per round it beats the dense eigensolver from
 # 64 points and loses at 32 (README, "Numerical conventions", has the
-# timings), and it needs a sample several times its d-dimensional range.
+# timings).
 _RANGE_MIN_POINTS = 64
-_RANGE_POINTS_PER_DEGREE = 4
 
 
 def _is_unimodular(s):
@@ -236,8 +235,10 @@ def _range_inertia(sample, den, d):
     j < d, the sample H is Q C Q* + E for C = Q* H Q, so its eigenvalues are
     those of C and n - d zeros, each moved by at most
     delta = ||E||_F + 4 (d + 2) eps ||H||_F + 8 n eps (max|mu| + ||E||_F):
-    the residual, the rounding of Q and C, and 8 n times the `EPS ||A||_2`
-    error of the eigenvalues `inertia` computes. The counts are `inertia`'s
+    the residual, the rounding of Q and C, and the error of the eigenvalues
+    `inertia` computes. LAPACK bounds that error by p(n) eps ||H||_2 with p
+    unspecified; 8 n is the bound assumed here, checked against `inertia`
+    by TestRangeInertia and the fingerprints. The counts are `inertia`'s
     when delta < band and no eigenvalue mu of C lies within delta of the
     band. Raises NotHermitian as `inertia` does.
     """
@@ -248,15 +249,17 @@ def _range_inertia(sample, den, d):
     Qh = Q.conj().T
     C = Qh @ (H @ Q)
     C = 0.5 * (C + C.conj().T)
+    mu = hermitian_eigenvalues(C)
+    result, band = _counted(mu, n, noise, float(np.abs(H).max(initial=0.0)))
+    eps = np.finfo(float).eps
+    delta = 4 * (d + 2) * eps * np.sqrt(np.vdot(H, H).real)
+    delta += 8 * n * eps * float(np.abs(mu).max(initial=0.0))
+    if delta >= band:  # fails without the residual: skip forming E
+        return None
     E = (Q @ C) @ Qh
     np.subtract(H, E, out=E)
-    residual = np.sqrt(np.vdot(E, E).real)  # Frobenius norms as one BLAS pass
-    mu = hermitian_eigenvalues(C)
-    eps = np.finfo(float).eps
-    peak = float(np.abs(mu).max(initial=0.0))
-    delta = residual + 4 * (d + 2) * eps * np.sqrt(np.vdot(H, H).real)
-    delta += 8 * n * eps * (peak + residual)
-    result, band = _counted(mu, n, noise, float(np.abs(H).max(initial=0.0)))
+    residual = np.sqrt(np.vdot(E, E).real)  # Frobenius norm as one BLAS pass
+    delta += (1 + 8 * n * eps) * residual
     if delta < band and not np.any(np.abs(np.abs(mu) - band) <= delta):
         return result
     return None
@@ -321,11 +324,11 @@ def estimate_negative_squares(s, plan=SamplePlan()):
     doubling the nested point set each round; returns the largest negative
     count once it has not changed for 3 consecutive rounds. A round whose
     point set did not grow (the probes outnumber its count) keeps the last
-    count rather than sampling the same points again. A unimodular s of
-    degree d is counted on the sample's range once the sample has at least
-    max(64, 4 d) points (`_range_inertia`), elsewhere by `inertia`. This is
-    a lower-bound estimator: sampling can only certify negative squares it
-    has seen, never exclude larger ones; with the pole probes it is exact on
+    count rather than sampling the same points again. A unimodular s is
+    counted on the sample's range once the sample has at least 64 points
+    (`_range_inertia`), elsewhere by `inertia`. This is a lower-bound
+    estimator: sampling can only certify negative squares it has seen,
+    never exclude larger ones; with the pole probes it is exact on
     the rank-structured rational functions targeted here.
     """
     s = as_rational(s)
@@ -347,7 +350,7 @@ def estimate_negative_squares(s, plan=SamplePlan()):
             if sampled >= _RANGE_MIN_POINTS:
                 if unimodular is None:
                     unimodular = _is_unimodular(s)
-                if unimodular and sampled >= _RANGE_POINTS_PER_DEGREE * s.degree:
+                if unimodular:
                     result = _range_inertia(sample, s.den, s.degree)
             if result is None:
                 result = inertia(sample)

@@ -683,6 +683,14 @@ class TestRangeInertia:
         inflated = HermitianSample(sample.points, sample.entries + bump, sample.asymmetry, sample.noise)
         assert kernels._range_inertia(inflated, s.den, s.degree) is None
 
+    def test_band_below_the_solver_error_falls_back(self):
+        # with no evaluation error the band is 8 n eps max|entry|, below the
+        # 8 n eps max|mu| the certificate allows the dense solver
+        s = _unimodular_rational([0.3, -0.5j], [0.4j], 1j)
+        sample = _estimator_sample(s, 96, 2)
+        exact = HermitianSample(sample.points, sample.entries, sample.asymmetry, 0.0)
+        assert kernels._range_inertia(exact, s.den, s.degree) is None
+
     def test_asymmetry_raises_first(self):
         s = _unimodular_rational([0.3], [0.4j], 1.0)
         sample = _estimator_sample(s, 64, 4)
