@@ -1,12 +1,13 @@
 """Reproducing-kernel sampling for disk functions.
 
 The kernel k_s(z, w) = (1 - s(z) conj(s(w))) / (1 - z conj(w)) is positive
-exactly when s maps the disk into itself; for a meromorphic s it has a finite
-number of negative squares, read off from sampled Gram matrices.
+exactly when s maps the disk into itself. Its negative squares are counted on
+a d x d matrix for a unimodular s of degree d, else on sampled Gram matrices.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -84,12 +85,14 @@ class SamplePlan:
                 object.__setattr__(self, name, int(value))  # numpy integers wrap around
         if not 0.0 < self.radius < 1.0:
             raise ValueError("radius must lie in (0, 1)")
-        if self.initial_points < 2 or self.max_points < self.initial_points:
-            raise ValueError("need initial_points >= 2 and max_points >= initial_points")
+        if self.initial_points < 2:
+            raise ValueError(f"initial_points {self.initial_points} is below 2")
+        if self.max_points < self.initial_points:
+            raise ValueError(f"max_points {self.max_points} is below initial_points "
+                             f"{self.initial_points}")
 
 
-# Largest modulus whose square is finite: beyond it |s|^2 overflows.
-_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
+_MAX = float(np.finfo(float).max)
 
 
 def _pole_distance(poles, pts):
@@ -115,8 +118,11 @@ def schur_kernel(s, z, w):
 def gram_matrix(s, points):
     """Sampled kernel Gram matrix, symmetrized, with the asymmetry reported.
 
-    Raises NotHermitian when |s| on the sample exceeds the square root of the
-    largest double, where its entries overflow. No points give a 0 x 0 sample.
+    Raises NotHermitian naming the overflow, before an entry is formed,
+    when |s| on the sample exceeds sqrt(max double * dmin) / 2, dmin the
+    least |1 - z conj(w)|: an entry of M is at most (1 + |s|^2) / dmin,
+    M + M* twice that, and a further factor 2 covers their rounding. No
+    points give a 0 x 0 sample.
     """
     s = as_rational(s)
     pts = np.asarray(points, dtype=complex).ravel()
@@ -132,7 +138,7 @@ def gram_matrix(s, points):
         raise DiagonalSingularity("points z, w with z*conj(w) = 1 in the sample")
     sv = s(pts)
     peak = float(np.max(np.abs(sv), initial=0.0))
-    if peak > _SQRT_MAX:
+    if peak > math.sqrt(_MAX * dmin) / 2:
         raise NotHermitian(f"kernel samples overflow: |s| reaches {peak:.3g} on the sample")
     raw = np.outer(sv, sv.conj())
     np.subtract(1.0, raw, out=raw)
@@ -158,34 +164,19 @@ def hermitian_eigenvalues(matrix):
     return np.linalg.eigvalsh(np.asarray(matrix, dtype=complex))
 
 
-def _hermitian(sample):
-    """(H, noise): the Hermitian matrix `inertia` counts and the error its
-    entries carry, after the checks that raise NotHermitian."""
-    if isinstance(sample, HermitianSample):
-        if not sample.asymmetry <= HERM_TOL:
-            raise NotHermitian(f"asymmetry {sample.asymmetry:.3g} exceeds {HERM_TOL:.3g}")
-        return sample.entries, sample.noise
-    H = np.asarray(sample, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise NotHermitian(f"array of shape {H.shape} is not a square matrix")
-    if not np.isfinite(H).all():
-        raise NotHermitian("matrix has a NaN or infinite entry")
-    noise = float(np.abs(H - H.conj().T).max(initial=0.0))
-    if noise > HERM_TOL * float(np.abs(H).max(initial=0.0)):
-        raise NotHermitian("matrix asymmetry exceeds tolerance")
-    return 0.5 * (H + H.conj().T), noise
-
-
-def _counted(eig, n, noise, scale):
-    """(Inertia, band) of an n x n matrix with eigenvalues `eig` and
-    n - len(eig) zeros, its entries of modulus at most `scale`: the zero
-    band and the counts outside it, as `inertia` takes them."""
+def _counted(H, noise):
+    """Inertia of a Hermitian matrix whose entries carry an error up to
+    `noise`: its eigenvalue counts outside the zero band
+    n * (noise + 8 eps max|entry|)."""
+    n = H.shape[0]
+    eig = hermitian_eigenvalues(H)
+    scale = float(np.abs(H).max(initial=0.0))
     # 8 eps per dimension: an exactly Hermitian B B* of rank r keeps its
     # n - r zeros from 0.5 eps up; counts of known kappa first drop at 256 eps.
     band = n * (noise + 8.0 * np.finfo(float).eps * scale)
     n_pos = int(np.count_nonzero(eig > band))
     n_neg = int(np.count_nonzero(eig < -band))
-    return Inertia(n_pos=n_pos, n_neg=n_neg, n_zero=n - n_pos - n_neg), band
+    return Inertia(n_pos=n_pos, n_neg=n_neg, n_zero=n - n_pos - n_neg)
 
 
 def inertia(sample):
@@ -199,70 +190,46 @@ def inertia(sample):
     raw array that is not square or has a NaN or infinite entry, or a sample
     with NaN asymmetry, raises NotHermitian: it has no countable eigenvalues.
     """
-    H, noise = _hermitian(sample)
-    eig = hermitian_eigenvalues(H)
-    return _counted(eig, H.shape[0], noise, float(np.abs(H).max(initial=0.0)))[0]
+    if isinstance(sample, HermitianSample):
+        if not sample.asymmetry <= HERM_TOL:
+            raise NotHermitian(f"asymmetry {sample.asymmetry:.3g} exceeds {HERM_TOL:.3g}")
+        return _counted(sample.entries, sample.noise)
+    H = np.asarray(sample, dtype=complex)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise NotHermitian(f"array of shape {H.shape} is not a square matrix")
+    if not np.isfinite(H).all():
+        raise NotHermitian("matrix has a NaN or infinite entry")
+    noise = float(np.abs(H - H.conj().T).max(initial=0.0))
+    if noise > HERM_TOL * float(np.abs(H).max(initial=0.0)):
+        raise NotHermitian("matrix asymmetry exceeds tolerance")
+    return _counted(0.5 * (H + H.conj().T), noise)
 
 
-# The range path's size rule: per round it beats the dense eigensolver from
-# 64 points and loses at 32 (README, "Numerical conventions", has the
-# timings).
-_RANGE_MIN_POINTS = 64
+def _kernel_core(s):
+    """(Q, dd) for s = N / D of degree d, N and D padded to d + 1
+    coefficients and divided by their largest modulus (s is unchanged, its
+    kernel scaled by a positive factor).
 
-
-def _is_unimodular(s):
-    """Whether |s| = 1 on the unit circle: N N# = D D# coefficient-wise within
-    CIRCLE_TOL of max|D D#|, where P#(z) = z^d conj(P(1/conj(z))) at the
-    degree d of s = N / D."""
-    d = s.degree
-
-    def times_reflection(p):  # P P#
-        c = np.zeros(d + 1, dtype=complex)
-        c[: p.coeffs.size] = p.coeffs
-        return np.convolve(c, c[::-1].conj())
-
-    nn, dd = times_reflection(s.num), times_reflection(s.den)
-    return float(np.abs(nn - dd).max()) <= CIRCLE_TOL * float(np.abs(dd).max())
-
-
-def _range_inertia(sample, den, d):
-    """`inertia(sample)` read on the sample's range, or None where that
-    reading does not certify it; for the Gram sample of a unimodular
-    function of degree d with denominator `den`.
-
-    Such a kernel has rank d: every section is a polynomial of degree < d
-    over `den`. With Q the orthonormal basis of F = [z_i^j / den(z_i)],
-    j < d, the sample H is Q C Q* + E for C = Q* H Q, so its eigenvalues are
-    those of C and n - d zeros, each moved by at most
-    delta = ||E||_F + 4 (d + 2) eps ||H||_F + 8 n eps (max|mu| + ||E||_F):
-    the residual, the rounding of Q and C, and the error of the eigenvalues
-    `inertia` computes. LAPACK bounds that error by p(n) eps ||H||_2 with p
-    unspecified; 8 n is the bound assumed here, checked against `inertia`
-    by TestRangeInertia and the fingerprints. The counts are `inertia`'s
-    when delta < band and no eigenvalue mu of C lies within delta of the
-    band. Raises NotHermitian as `inertia` does.
+    Q is the (d + 1) x (d + 1) array q_ij = p_ij + q_(i-1)(j-1) of
+    P = D D* - N N*: the coefficients of z^i conj(w)^j, i, j <= d, in
+    (D(z) conj(D(w)) - N(z) conj(N(w))) / (1 - z conj(w)). Its row d and
+    column d, the remainder, are the coefficients of D D# - N N#, with
+    P#(z) = z^d conj(P(1/conj(z))); dd = ||D||^2 = max|D D#|. The remainder
+    vanishes exactly when |s| = 1 on the circle; then k_s(z, w) =
+    f(z) G f(w)* for G = Q[:d, :d] and f = [z^j / D(z)], j < d (the
+    d-dimensional de Branges-Rovnyak space of s), so by Sylvester's law of
+    inertia sq_-(s) = ev_-(G).
     """
-    H, noise = _hermitian(sample)
-    n = H.shape[0]
-    V = np.vander(sample.points, d + 1, increasing=True)
-    Q = np.linalg.qr(V[:, :d] / (V[:, : den.coeffs.size] @ den.coeffs)[:, None])[0]
-    Qh = Q.conj().T
-    C = Qh @ (H @ Q)
-    C = 0.5 * (C + C.conj().T)
-    mu = hermitian_eigenvalues(C)
-    result, band = _counted(mu, n, noise, float(np.abs(H).max(initial=0.0)))
-    eps = np.finfo(float).eps
-    delta = 4 * (d + 2) * eps * np.sqrt(np.vdot(H, H).real)
-    delta += 8 * n * eps * float(np.abs(mu).max(initial=0.0))
-    if delta >= band:  # fails without the residual: skip forming E
-        return None
-    E = (Q @ C) @ Qh
-    np.subtract(H, E, out=E)
-    residual = np.sqrt(np.vdot(E, E).real)  # Frobenius norm as one BLAS pass
-    delta += (1 + 8 * n * eps) * residual
-    if delta < band and not np.any(np.abs(np.abs(mu) - band) <= delta):
-        return result
-    return None
+    ND = np.zeros((2, s.degree + 1), dtype=complex)
+    ND[0, : s.num.coeffs.size] = s.num.coeffs
+    ND[1, : s.den.coeffs.size] = s.den.coeffs
+    ND /= np.abs(ND).max()
+    N, D = ND
+    Q = np.outer(D, D.conj())
+    Q -= np.outer(N, N.conj())
+    for i in range(1, s.degree + 1):
+        Q[i, 1:] += Q[i - 1, :-1]
+    return Q, float(np.vdot(D, D).real)
 
 
 def _pole_probes(poles, clearance):
@@ -316,22 +283,35 @@ def _draw_points(rng, count, radius, clearance, poles, existing):
 
 
 def estimate_negative_squares(s, plan=SamplePlan()):
-    """Estimated number of negative squares of the kernel of s.
+    """Number of negative squares of the kernel of s.
 
-    Seeds the point set with a few probes near each disk pole (where the
-    negative directions of the kernel live), then draws seeded random points
-    in a disk of the plan's radius (avoiding poles by SAMPLE_CLEARANCE),
-    doubling the nested point set each round; returns the largest negative
-    count once it has not changed for 3 consecutive rounds. A round whose
-    point set did not grow (the probes outnumber its count) keeps the last
-    count rather than sampling the same points again. A unimodular s is
-    counted on the sample's range once the sample has at least 64 points
-    (`_range_inertia`), elsewhere by `inertia`. This is a lower-bound
-    estimator: sampling can only certify negative squares it has seen,
-    never exclude larger ones; with the pole probes it is exact on
-    the rank-structured rational functions targeted here.
+    A unimodular s of degree d (the remainder of `_kernel_core` within
+    CIRCLE_TOL of max|D D#|) is counted exactly, before any point is drawn
+    and without reading the plan: the negative eigenvalues of its core G,
+    outside `inertia`'s zero band with `noise` the largest modulus of the
+    remainder. That assumes each entry of G is within that noise of the G
+    of a unimodular function, as the remainder comes from the same sums
+    and vanishes exactly at |s| = 1; by Weyl's inequality no eigenvalue
+    then moves by more than d noise. Every sampled Gram matrix of s is
+    F G F*, so the count is never below a sampled one.
+
+    Otherwise (s not unimodular, or G with an eigenvalue in its zero band:
+    an unreduced N / D, or an ill-conditioned G at high degree) the kernel
+    is sampled: probes near each disk pole (where its negative directions
+    live), then seeded random points in the plan's disk, clear of the poles
+    by SAMPLE_CLEARANCE, the nested set doubling each round until
+    `inertia`'s negative count has held for 3 rounds. A round whose point
+    set did not grow keeps the last count. Sampling certifies only the
+    negative squares it sees: it is a lower bound.
     """
     s = as_rational(s)
+    Q, dd = _kernel_core(s)
+    d = s.degree
+    noise = float(np.abs(np.concatenate((Q[d], Q[:, d]))).max())
+    if noise <= CIRCLE_TOL * dd:
+        core = _counted(Q[:d, :d], noise)
+        if core.n_zero == 0:
+            return core.n_neg
     rng = np.random.default_rng(plan.seed)
     poles = s.poles()
     pts: list[complex] = _pole_probes(poles, SAMPLE_CLEARANCE)
@@ -339,22 +319,12 @@ def estimate_negative_squares(s, plan=SamplePlan()):
     stable = 0
     n_neg = 0
     sampled = -1  # points in the last sample built
-    unimodular = None  # decided at the first round of _RANGE_MIN_POINTS points
     count = plan.initial_points
     while True:
         pts = _draw_points(rng, count, plan.radius, SAMPLE_CLEARANCE, poles, pts)
         if len(pts) > sampled:
             sampled = len(pts)
-            sample = gram_matrix(s, pts)
-            result = None
-            if sampled >= _RANGE_MIN_POINTS:
-                if unimodular is None:
-                    unimodular = _is_unimodular(s)
-                if unimodular:
-                    result = _range_inertia(sample, s.den, s.degree)
-            if result is None:
-                result = inertia(sample)
-            n_neg = result.n_neg
+            n_neg = inertia(gram_matrix(s, pts)).n_neg
         if n_neg > best:
             best = n_neg
             stable = 1

@@ -112,6 +112,11 @@ class TestNegsq:
         code, rep = run_json(["negsq", write(tmp_path, "f.json", f)], capsys)
         assert code == 0 and rep["estimated_negative_squares"] == 2
 
+    def test_too_few_samples_exits_2(self, tmp_path, capsys):
+        code, rep = run_json(["--samples", "4", "negsq", write(tmp_path, "f.json", RECIP)], capsys)
+        assert code == 2 and rep["type"] == "ValueError"
+        assert rep["error"] == "max_points 4 is below initial_points 8"
+
 
 class TestRigidity:
     def test_forced_candidate(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_blaschke
@@ -31,7 +31,7 @@ from schurkit.kernels import (
     schur_kernel,
 )
 from schurkit.rational import BlaschkeProduct, Poly, RationalFn, as_rational
-from schurkit.tolerances import DIAG_TOL, HERM_TOL, POLE_CLEARANCE
+from schurkit.tolerances import CIRCLE_TOL, DIAG_TOL, HERM_TOL, POLE_CLEARANCE
 
 Z = RationalFn.x()
 RECIP = RationalFn([1], [0, 1])
@@ -90,11 +90,9 @@ class TestGram:
 
 
 class TestGramOverflow:
-    """Samples whose squared modulus overflows a double raise NotHermitian
-    naming the overflow; one at the largest modulus that squares finitely
-    still samples."""
-
-    ROOT_MAX = math.sqrt(np.finfo(float).max)
+    """Samples whose entries could overflow a double raise NotHermitian
+    naming the overflow, before an entry is formed; below that edge every
+    entry is finite and no numpy warning fires."""
 
     def test_overflowing_samples_raise(self):
         big = RationalFn(Poly([1e200, 1e200]), Poly.one(), reduce=False)
@@ -106,14 +104,24 @@ class TestGramOverflow:
                 estimate_negative_squares(big, FAST)
 
     def test_threshold_is_the_first_overflowing_square(self):
+        # An entry is at most (1 + |s|^2) / dmin and M + M* twice that; the
+        # edge keeps twice the sum finite, dmin the least |1 - z conj(w)|.
         points = [0.1, 0.4j]
-        edge = gram_matrix(RationalFn.constant(self.ROOT_MAX), points)
-        assert edge.noise < np.inf
-        above = math.nextafter(self.ROOT_MAX, math.inf)
-        with pytest.raises(OverflowError):
-            above**2
-        with pytest.raises(NotHermitian, match="overflow"):
-            gram_matrix(RationalFn.constant(above), points)
+        pts = np.array(points, dtype=complex)
+        dmin = float(np.abs(1.0 - np.outer(pts, pts.conj())).min())
+        edge = math.sqrt(np.finfo(float).max * dmin) / 2
+        above = math.nextafter(edge, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (edge, -edge):
+                sample = gram_matrix(RationalFn.constant(c), points)
+                assert np.isfinite(sample.entries).all()
+                assert math.isfinite(sample.noise) and math.isfinite(sample.asymmetry)
+            # below the square root of the largest double, yet its entries
+            # and their sum overflow
+            for c in (above, 0.95 * math.sqrt(np.finfo(float).max)):
+                with pytest.raises(NotHermitian, match="overflow"):
+                    gram_matrix(RationalFn.constant(c), points)
 
 
 class TestInertia:
@@ -282,10 +290,30 @@ class TestEstimator:
         assert estimate_negative_squares(s, FAST) == 1
 
     def test_no_analytic_points(self):
-        from schurkit.errors import NoAnalyticPoints
-
+        # 0.5/z is not unimodular, so it is sampled
         with pytest.raises(NoAnalyticPoints):
-            estimate_negative_squares(RECIP, SamplePlan(radius=1e-3))
+            estimate_negative_squares(RECIP * 0.5, SamplePlan(radius=1e-3))
+
+    def test_kappa_six_samples_grow(self):
+        # 18 pole probes outnumber the 8 and 16 points of the first rounds:
+        # the round that adds no points is not sampled again
+        s = _unimodular_rational([0.2j, -0.4], [0.5 * np.exp(1j * t) for t in range(6)], 1.0) * 0.8
+        sizes = []
+        draws = []
+
+        def record_gram(s, pts):
+            sizes.append(len(pts))
+            return gram_matrix(s, pts)
+
+        def record_draw(*args):
+            draws.append(args[1])
+            return _draw_points(*args)
+
+        with mock.patch.object(kernels, "gram_matrix", record_gram), \
+                mock.patch.object(kernels, "_draw_points", record_draw):
+            assert estimate_negative_squares(s) == 6
+        assert all(a < b for a, b in zip(sizes, sizes[1:]))
+        assert len(sizes) < len(draws)
 
 
 class TestSamplePlan:
@@ -633,8 +661,8 @@ class TestInertiaBitwise:
         check_inertia(_near_hermitian(seed, n, skew, real))
 
 
-# The range path: a unimodular function's Gram sample counted on its
-# d-dimensional range must give inertia's counts whenever it answers.
+# The kernel core: a unimodular function's negative squares are those of
+# its d x d coefficient matrix G, counted before any point is drawn.
 
 
 def _unimodular_rational(zeros, poles, c):
@@ -650,81 +678,65 @@ def _estimator_sample(s, count, seed):
     return gram_matrix(s, pts)
 
 
-_range_points = st.lists(st.builds(polar, st.floats(0.0, 0.9), _angles), max_size=8)
+_core_points = st.lists(st.builds(polar, st.floats(0.0, 0.9), _angles), max_size=8)
 
 
-class TestRangeInertia:
+class TestKernelCore:
+    @pytest.mark.parametrize("d", [0, 1, 2, 5, 9, 16])
+    def test_remainder_identity(self, d):
+        # row d and column d of Q are the coefficients of D D# - N N#
+        rng = np.random.default_rng([2000, d])
+        for _ in range(10):
+            num = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+            den = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+            s = RationalFn(Poly(num), Poly(den), reduce=False)
+            Q, dd = kernels._kernel_core(s)
+            top = max(np.abs(s.num.coeffs).max(), np.abs(s.den.coeffs).max())
+            n, m = s.num.coeffs / top, s.den.coeffs / top
+            rem = np.convolve(m, m[::-1].conj()) - np.convolve(n, n[::-1].conj())
+            tol = 8 * (d + 1) * np.finfo(float).eps
+            assert Q.shape == (d + 1, d + 1)
+            assert np.abs(Q[:, d] - rem[: d + 1]).max() <= tol
+            assert np.abs(Q[d, ::-1] - rem[d:]).max() <= tol
+            assert abs(dd - np.abs(np.convolve(m, m[::-1].conj())).max()) <= tol
+
     @_bitwise
-    @given(_range_points, _range_points, _angles, st.integers(64, 128), _seeds)
-    def test_agrees_with_inertia(self, zeros, poles, phase, count, seed):
+    @given(_core_points, _core_points, _angles, st.integers(0, 64), _seeds)
+    @example([polar(0.3, k) for k in range(8)], [polar(0.8, k + 0.5) for k in range(8)], 1.0, 0, 7)
+    def test_counts_the_poles(self, zeros, poles, phase, extra, seed):
+        # c B(zeros) / B(poles) with no zero near a pole has len(poles)
+        # negative squares, and no sample of its kernel sees more
+        assume(all(abs(a - b) >= 0.01 for a in zeros for b in poles))
         s = _unimodular_rational(zeros, poles, polar(1.0, phase))
-        assert kernels._is_unimodular(s)
-        sample = outcome(_estimator_sample, s, count, seed)
-        if isinstance(sample, Exception):
-            return
-        got = inertia_outcome(lambda x: kernels._range_inertia(x, s.den, s.degree), sample)
-        ref = inertia_outcome(inertia, sample)
-        if got is not None:
-            assert same_outcome(got, ref, lambda a, b: a == b)
+        with mock.patch.object(kernels, "gram_matrix", wraps=gram_matrix) as spy:
+            assert estimate_negative_squares(s) == len(poles)
+        spy.assert_not_called()
+        sample = outcome(_estimator_sample, s, s.degree + extra, seed)
+        if not isinstance(sample, Exception):
+            assert inertia(sample).n_neg <= len(poles)
 
-    def test_answers_on_the_estimator_sample(self):
-        s = _unimodular_rational([0.3, -0.5j, 0.7 + 0.1j], [0.4j, -0.6], 1j)
-        sample = _estimator_sample(s, 128, 1)
-        got = kernels._range_inertia(sample, s.den, s.degree)
-        assert got == inertia(sample) == Inertia(n_pos=3, n_neg=2, n_zero=123)
+    def test_shared_factor_defers_to_the_sampler(self):
+        # 1/z with the factor z - 0.3 left in: G is singular, so it is sampled
+        s = RationalFn(Poly([-0.3, 1]), Poly([0, 1]) * Poly([-0.3, 1]), reduce=False)
+        with mock.patch.object(kernels, "gram_matrix", wraps=gram_matrix) as spy:
+            assert estimate_negative_squares(s, FAST) == 1
+        spy.assert_called()
 
-    def test_inflated_entries_fall_back(self):
+    def test_not_unimodular_is_never_answered(self):
         s = _unimodular_rational([0.3, -0.5j], [0.4j], 1j)
-        sample = _estimator_sample(s, 96, 2)
-        assert kernels._range_inertia(sample, s.den, s.degree) is not None
-        # a full-rank Hermitian bump far above the zero band leaves the range
-        bump = _near_hermitian(3, 96, 0.0, False)
-        bump *= 1e-6 * np.max(np.abs(sample.entries)) / np.max(np.abs(bump))
-        inflated = HermitianSample(sample.points, sample.entries + bump, sample.asymmetry, sample.noise)
-        assert kernels._range_inertia(inflated, s.den, s.degree) is None
-
-    def test_band_below_the_solver_error_falls_back(self):
-        # with no evaluation error the band is 8 n eps max|entry|, below the
-        # 8 n eps max|mu| the certificate allows the dense solver
-        s = _unimodular_rational([0.3, -0.5j], [0.4j], 1j)
-        sample = _estimator_sample(s, 96, 2)
-        exact = HermitianSample(sample.points, sample.entries, sample.asymmetry, 0.0)
-        assert kernels._range_inertia(exact, s.den, s.degree) is None
-
-    def test_asymmetry_raises_first(self):
-        s = _unimodular_rational([0.3], [0.4j], 1.0)
-        sample = _estimator_sample(s, 64, 4)
-        skewed = HermitianSample(sample.points, sample.entries, 2 * HERM_TOL, sample.noise)
-        with pytest.raises(NotHermitian):
-            kernels._range_inertia(skewed, s.den, s.degree)
-
-    def test_not_unimodular_is_never_tried(self):
-        s = _unimodular_rational([0.3, -0.5j], [0.4j], 1j) * 0.8
         plan = SamplePlan(initial_points=128, max_points=128, seed=5)
-        assert not kernels._is_unimodular(s)
-        with mock.patch.object(kernels, "_range_inertia", wraps=kernels._range_inertia) as spy:
-            assert estimate_negative_squares(s, plan) == 1
-            spy.assert_not_called()
-            assert estimate_negative_squares(s / 0.8, plan) == 1
-            spy.assert_called_once()
+        for f in (s * 0.8, s * (1 + 1e-6), RECIP * 0.5, RationalFn.constant(0.5)):
+            Q, dd = kernels._kernel_core(f)
+            d = f.degree
+            assert max(np.abs(Q[d]).max(), np.abs(Q[:, d]).max()) > CIRCLE_TOL * dd
+            with mock.patch.object(kernels, "gram_matrix", wraps=gram_matrix) as spy:
+                estimate_negative_squares(f, plan)
+            spy.assert_called()
+        with mock.patch.object(kernels, "gram_matrix", wraps=gram_matrix) as spy:
+            assert estimate_negative_squares(s * 0.8, plan) == estimate_negative_squares(s, plan) == 1
+        spy.assert_called_once()
 
-    def test_kappa_six_samples_grow(self):
-        # 18 pole probes outnumber the 8 and 16 points of the first rounds:
-        # the round that adds no points is not sampled again
-        s = _unimodular_rational([0.2j, -0.4], [0.5 * np.exp(1j * t) for t in range(6)], 1.0)
-        sizes = []
-        draws = []
-
-        def record_gram(s, pts):
-            sizes.append(len(pts))
-            return gram_matrix(s, pts)
-
-        def record_draw(*args):
-            draws.append(args[1])
-            return _draw_points(*args)
-
-        with mock.patch.object(kernels, "gram_matrix", record_gram), \
-                mock.patch.object(kernels, "_draw_points", record_draw):
-            assert estimate_negative_squares(s) == 6
-        assert all(a < b for a, b in zip(sizes, sizes[1:]))
-        assert len(sizes) < len(draws)
+    def test_plan_is_not_read(self):
+        # a plan whose disk holds no analytic point still counts 1/z exactly
+        assert estimate_negative_squares(RECIP, SamplePlan(radius=1e-3)) == 1
+        assert estimate_negative_squares(RationalFn.constant(np.exp(0.7j)), SamplePlan(radius=1e-3)) == 0
