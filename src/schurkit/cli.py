@@ -196,8 +196,11 @@ def cmd_solve(args):
 
 def cmd_negsq(args):
     fn = parse_function(_load_json(args.function))
-    plan = _plan(args)
-    estimated = estimate_negative_squares(fn, plan)
+    refused = {}
+    try:
+        estimated = estimate_negative_squares(fn, _plan(args))
+    except NotGeneralizedSchur as exc:  # |s| > 1 on the circle: no finite count
+        estimated, refused = None, {"estimate_error": str(exc)}
     try:
         s0, b = krein_langer_factor(fn, circle_tol=args.tol_circle)
         cross = {"blaschke_order": b.order, "agrees": b.order == estimated}
@@ -208,6 +211,7 @@ def cmd_negsq(args):
     report = {
         "status": status,
         "estimated_negative_squares": estimated,
+        **refused,
         "krein_langer": cross,
         "tolerances": _tolerances(args),
         "seed": args.seed,
@@ -428,11 +432,16 @@ def _build_parser():
         prog="schurkit",
         description="Boundary interpolation, negative squares, and rigidity checks",
     )
-    parser.add_argument("--tol-circle", type=float, default=CIRCLE_TOL)
+    parser.add_argument(
+        "--tol-circle", type=float, default=CIRCLE_TOL,
+        help="circle tolerance of krein_langer_factor; the negative-squares count's "
+        "circle test uses CIRCLE_TOL",
+    )
     parser.add_argument("--tol-order", type=float, default=ORDER_TOL)
-    parser.add_argument("--samples", type=int, default=256)
-    parser.add_argument("--seed", type=int, default=74010)
-    parser.add_argument("--radius", type=float, default=0.9)
+    unread = "; no count reads it, the reports echo it"
+    parser.add_argument("--samples", type=int, default=256, help="sample plan size" + unread)
+    parser.add_argument("--seed", type=int, default=74010, help="sample plan seed" + unread)
+    parser.add_argument("--radius", type=float, default=0.9, help="sample plan radius" + unread)
     parser.add_argument("--output", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -440,7 +449,7 @@ def _build_parser():
     p.add_argument("problem")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("negsq", help="estimate negative squares of a function file")
+    p = sub.add_parser("negsq", help="count negative squares of a function file")
     p.add_argument("function")
     p.set_defaults(func=cmd_negsq)
 

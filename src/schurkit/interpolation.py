@@ -502,7 +502,9 @@ def solution_negative_squares(data, s1, plan=None):
     """Predicted and observed negative squares of the solution.
 
     predicted = sq_-(parameter) + (negative eigenvalues of the Pick matrix);
-    observed samples the kernel of the solved function directly.
+    observed counts the kernel of the solved function itself. Both counts
+    are `estimate_negative_squares`, exact or refused; the plan is validated
+    but not read.
     """
     plan = plan or SamplePlan()
     s1 = as_rational(s1)

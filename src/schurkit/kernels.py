@@ -1,8 +1,9 @@
-"""Reproducing-kernel sampling for disk functions.
+"""Reproducing kernels of disk functions and their negative squares.
 
 The kernel k_s(z, w) = (1 - s(z) conj(s(w))) / (1 - z conj(w)) is positive
-exactly when s maps the disk into itself. Its negative squares are counted on
-a d x d matrix for a unimodular s of degree d, else on sampled Gram matrices.
+exactly when s maps the disk into itself. Its negative squares are counted
+on one d x d Hermitian matrix for a function of degree d; Gram matrices of
+the kernel at finite point sets are built and counted on request.
 """
 
 from __future__ import annotations
@@ -13,20 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DiagonalSingularity,
-    NoAnalyticPoints,
-    NotHermitian,
-    PoleProximity,
-)
-from .rational import RationalFn, as_rational
-from .tolerances import (
-    CIRCLE_TOL,
-    DIAG_TOL,
-    HERM_TOL,
-    POLE_CLEARANCE,
-    SAMPLE_CLEARANCE,
-)
+from .errors import BoundaryPole, DiagonalSingularity, NotGeneralizedSchur
+from .errors import NotHermitian, PoleProximity
+from .rational import _CIRCLE, as_rational
+from .tolerances import CIRCLE_TOL, DIAG_TOL, HERM_TOL, POLE_CLEARANCE
 
 __all__ = [
     "HermitianSample",
@@ -69,7 +60,9 @@ class HermitianSample:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Controls the stabilized random sampling of Gram matrices."""
+    """Sampling settings, validated but read by no count: the negative-squares
+    count draws no point. The CLI builds one from `--samples`, `--radius` and
+    `--seed`, which its reports echo."""
 
     max_points: int = 256
     radius: float = 0.9
@@ -164,16 +157,19 @@ def hermitian_eigenvalues(matrix):
     return np.linalg.eigvalsh(np.asarray(matrix, dtype=complex))
 
 
-def _counted(H, noise):
-    """Inertia of a Hermitian matrix whose entries carry an error up to
-    `noise`: its eigenvalue counts outside the zero band
-    n * (noise + 8 eps max|entry|)."""
-    n = H.shape[0]
-    eig = hermitian_eigenvalues(H)
-    scale = float(np.abs(H).max(initial=0.0))
+def _zero_band(H, noise):
+    """Half-width n * (noise + 8 eps max|entry|) of the zero band of H."""
     # 8 eps per dimension: an exactly Hermitian B B* of rank r keeps its
     # n - r zeros from 0.5 eps up; counts of known kappa first drop at 256 eps.
-    band = n * (noise + 8.0 * np.finfo(float).eps * scale)
+    return H.shape[0] * (noise + 8.0 * np.finfo(float).eps * float(np.abs(H).max(initial=0.0)))
+
+
+def _counted(H, noise):
+    """Inertia of a Hermitian matrix whose entries carry an error up to
+    `noise`: its eigenvalue counts outside the zero band."""
+    n = H.shape[0]
+    eig = hermitian_eigenvalues(H)
+    band = _zero_band(H, noise)
     n_pos = int(np.count_nonzero(eig > band))
     n_neg = int(np.count_nonzero(eig < -band))
     return Inertia(n_pos=n_pos, n_neg=n_neg, n_zero=n - n_pos - n_neg)
@@ -205,133 +201,107 @@ def inertia(sample):
     return _counted(0.5 * (H + H.conj().T), noise)
 
 
-def _kernel_core(s):
-    """(Q, dd) for s = N / D of degree d, N and D padded to d + 1
-    coefficients and divided by their largest modulus (s is unchanged, its
-    kernel scaled by a positive factor).
-
-    Q is the (d + 1) x (d + 1) array q_ij = p_ij + q_(i-1)(j-1) of
-    P = D D* - N N*: the coefficients of z^i conj(w)^j, i, j <= d, in
-    (D(z) conj(D(w)) - N(z) conj(N(w))) / (1 - z conj(w)). Its row d and
-    column d, the remainder, are the coefficients of D D# - N N#, with
-    P#(z) = z^d conj(P(1/conj(z))); dd = ||D||^2 = max|D D#|. The remainder
-    vanishes exactly when |s| = 1 on the circle; then k_s(z, w) =
-    f(z) G f(w)* for G = Q[:d, :d] and f = [z^j / D(z)], j < d (the
-    d-dimensional de Branges-Rovnyak space of s), so by Sylvester's law of
-    inertia sq_-(s) = ev_-(G).
+def _kernel_core(N, D):
+    """Q with q_ij = p_ij + q_(i-1)(j-1), P = D D* - N N* (N, D of length
+    d + 1): the coefficients of z^i conj(w)^j, i, j <= d, in (D(z) conj(D(w))
+    - N(z) conj(N(w))) / (1 - z conj(w)). Row and column d, the remainder,
+    are the coefficients of D D# - N N#, P#(z) = z^d conj(P(1/conj(z))). It
+    vanishes when |N / D| = 1 on the circle; then the kernel of u = N / D is
+    f(z) G f(w)*, G = Q[:d, :d], f = [z^j / D(z)], j < d: sq_-(u) = ev_-(G).
     """
-    ND = np.zeros((2, s.degree + 1), dtype=complex)
-    ND[0, : s.num.coeffs.size] = s.num.coeffs
-    ND[1, : s.den.coeffs.size] = s.den.coeffs
-    ND /= np.abs(ND).max()
-    N, D = ND
     Q = np.outer(D, D.conj())
     Q -= np.outer(N, N.conj())
-    for i in range(1, s.degree + 1):
+    for i in range(1, D.size):
         Q[i, 1:] += Q[i - 1, :-1]
-    return Q, float(np.vdot(D, D).real)
+    return Q
 
 
-def _pole_probes(poles, clearance):
-    """Deterministic sample points at clearance distance from each disk pole.
+_WINDING_POINTS = 2**16
 
-    The negative directions of the kernel concentrate near the poles; purely
-    random draws can miss a pole sitting close to the unit circle, so each
-    disk pole (with multiplicity) contributes a few probes placed inside the
-    closed disk of its own modulus.
+
+def _winding(D, G, noise):
+    """Zeros of D (length d + 1) in the open disk, as the winding number of D
+    on the circle certified arc by arc; else BoundaryPole names G's band.
+
+    On the arc of angle h from a sample z_a, |z - z_a| <= h and the segment
+    from z_a to z lies in the disk, where |D''| <= d(d-1) M (Bernstein twice
+    and the maximum principle; M = max|D| on the circle, at most max|D| on
+    the n samples / (1 - d pi / n) for d < n / pi). So D stays within
+    h |D'(z_a)| + h^2 d(d-1) M / 2 of D(z_a); where that plus the rounding is
+    below |D(z_a)|, or the same holds from the arc's other end, arg D moves by
+    the principal angle of D(z_b) / D(z_a). Failed arcs are halved until
+    _WINDING_POINTS points are spent or an arc can no longer be halved.
     """
-    probes = []
-    for occurrence, p in enumerate(p for p in poles if abs(p) < 1.0):
-        spin = 1.0 + 0.37 * occurrence
-        if abs(p) <= clearance:
-            for angle in (0.2, 2.3, 4.1):
-                probes.append(p + clearance * np.exp(1j * spin * angle))
-        else:
-            phi = clearance / abs(p)
-            probes.append(p * np.exp(1j * spin * phi))
-            probes.append(p * np.exp(-1j * spin * phi))
-            probes.append(p * (1.0 - phi))
-    z = np.array(probes, dtype=complex)
-    keep = (np.abs(z) < 1.0) & (_pole_distance(poles, z) >= 0.99 * clearance)
-    return z[keep].tolist()
-
-
-def _draw_points(rng, count, radius, clearance, poles, existing):
-    """`existing` extended to `count` seeded points in the disk of `radius`,
-    none within `clearance` of a pole.
-
-    Each pass draws exactly the candidates still missing, as one array of
-    radius and angle pairs, and drops those too close to a pole; so the
-    seeded stream is used exactly as a loop drawing one point at a time would
-    use it, and a seed gives the same points. Raises NoAnalyticPoints after
-    2000 * count candidates.
-    """
-    out = list(existing)
-    attempts = 0
-    limit = 2000 * count
-    while len(out) < count:
-        m = min(count - len(out), limit - attempts)
-        if m == 0:
-            raise NoAnalyticPoints(
-                "pole clearance leaves too little of the sampling disk"
-            )
-        attempts += m
-        u = rng.uniform(size=2 * m)
-        z = radius * np.sqrt(u[0::2]) * np.exp(2j * np.pi * u[1::2])
-        out += z[_pole_distance(poles, z) > clearance].tolist()
-    return out
+    d, n = D.size - 1, _CIRCLE.size
+    # .rational imports numpy.polynomial; importing it here, ahead of that,
+    # raised the peak RSS of `import schurkit` by 0.4 MB.
+    polyval = np.polynomial.polynomial.polyval
+    C = np.stack((D, np.append(D[1:] * np.arange(1, d + 1), 0)), axis=1)  # D, D'
+    h, ta = 2.0 * np.pi / n, np.angle(_CIRCLE)
+    va = polyval(_CIRCLE, C)
+    vb = np.roll(va, -1, axis=1)
+    curve = 0.5 * d * (d - 1) * float(np.abs(va[0]).max()) / (1.0 - d * np.pi / n)
+    # Horner rounding of D and h D' at |z| = 1, and that of the points
+    allow = 4.0 * (d + 1) * (1.0 + h * d) * np.finfo(float).eps * float(np.abs(D).sum())
+    total, points = 0.0, n
+    while True:
+        radius = curve * h * h + allow
+        ok = np.abs(va[0]) > h * np.abs(va[1]) + radius
+        ok |= np.abs(vb[0]) > h * np.abs(vb[1]) + radius
+        total += float(np.angle(vb[0, ok] * va[0, ok].conj()).sum())
+        if ok.all():
+            return round(total / (2.0 * np.pi))
+        ta, va, vb = ta[~ok], va[:, ~ok], vb[:, ~ok]
+        h *= 0.5
+        tm = ta + h
+        points += tm.size
+        if points > _WINDING_POINTS or np.any(tm == ta):
+            least = float(np.abs(hermitian_eigenvalues(G)).min())
+            raise BoundaryPole(
+                f"kernel matrix eigenvalue of modulus {least:.3g} in the zero band "
+                f"{_zero_band(G, noise):.3g}; the denominator's winding number is not "
+                f"certified within {_WINDING_POINTS} circle points")
+        vm = polyval(np.exp(1j * tm), C)
+        ta = np.concatenate((ta, tm))
+        va, vb = np.concatenate((va, vm), axis=1), np.concatenate((vm, vb), axis=1)
 
 
 def estimate_negative_squares(s, plan=SamplePlan()):
-    """Number of negative squares of the kernel of s.
+    """Number of negative squares of the kernel of s = N / D: exact, or refused.
 
-    A unimodular s of degree d (the remainder of `_kernel_core` within
-    CIRCLE_TOL of max|D D#|) is counted exactly, before any point is drawn
-    and without reading the plan: the negative eigenvalues of its core G,
-    outside `inertia`'s zero band with `noise` the largest modulus of the
-    remainder. That assumes each entry of G is within that noise of the G
-    of a unimodular function, as the remainder comes from the same sums
-    and vanishes exactly at |s| = 1; by Weyl's inequality no eigenvalue
-    then moves by more than d noise. Every sampled Gram matrix of s is
-    F G F*, so the count is never below a sampled one.
-
-    Otherwise (s not unimodular, or G with an eigenvalue in its zero band:
-    an unreduced N / D, or an ill-conditioned G at high degree) the kernel
-    is sampled: probes near each disk pole (where its negative directions
-    live), then seeded random points in the plan's disk, clear of the poles
-    by SAMPLE_CLEARANCE, the nested set doubling each round until
-    `inertia`'s negative count has held for 3 rounds. A round whose point
-    set did not grow keeps the last count. Sampling certifies only the
-    negative squares it sees: it is a lower bound.
+    s must be reduced, as a RationalFn is unless built with reduce=False.
+    With |s| <= 1 on the circle the count is the number of zeros of D in the
+    disk (Krein-Langer): ev_- of one d x d matrix G, d = deg s, counted as
+    `inertia` counts a sample with `noise` the remainder of `_kernel_core`.
+    For a unimodular s (remainder D D# - N N# within CIRCLE_TOL of ||D||^2)
+    G is the core of s. Otherwise NotGeneralizedSchur is raised unless
+    |N| <= (1 + CIRCLE_TOL) |D| on the CIRCLE_SAMPLES circle samples (else
+    the kernel has infinitely many negative squares), and G is the core of
+    the unimodular D# / D: the Schur-Cohn matrix of D (Krein-Naimark). If G
+    has an eigenvalue in its zero band, the count is the certified winding
+    number of D on the circle (`_winding`), or BoundaryPole. The plan is
+    validated, not read: no point is drawn.
     """
     s = as_rational(s)
-    Q, dd = _kernel_core(s)
     d = s.degree
+    ND = np.zeros((2, d + 1), dtype=complex)
+    ND[0, : s.num.coeffs.size] = s.num.coeffs
+    ND[1, : s.den.coeffs.size] = s.den.coeffs
+    ND /= np.abs(ND).max()  # s is unchanged, its kernel scaled by a positive factor
+    N, D = ND
+    remainder = np.convolve(D, D[::-1].conj()) - np.convolve(N, N[::-1].conj())
+    if np.abs(remainder).max() > CIRCLE_TOL * np.vdot(D, D).real:
+        # N and D at the samples _CIRCLE[0] w^k, w = exp(2 pi i / n), times
+        # 1 / n; compared, not divided, as D may vanish at one.
+        mod = np.abs(np.fft.ifft(ND * _CIRCLE[0] ** np.arange(d + 1), _CIRCLE.size))
+        if not np.all(mod[0] <= (1.0 + CIRCLE_TOL) * mod[1]):
+            raise NotGeneralizedSchur(
+                f"|s| exceeds 1 + {CIRCLE_TOL:g} on the circle: "
+                "the kernel has infinitely many negative squares"
+            )
+        N = D[::-1].conj()
+    Q = _kernel_core(N, D)
     noise = float(np.abs(np.concatenate((Q[d], Q[:, d]))).max())
-    if noise <= CIRCLE_TOL * dd:
-        core = _counted(Q[:d, :d], noise)
-        if core.n_zero == 0:
-            return core.n_neg
-    rng = np.random.default_rng(plan.seed)
-    poles = s.poles()
-    pts: list[complex] = _pole_probes(poles, SAMPLE_CLEARANCE)
-    best = 0
-    stable = 0
-    n_neg = 0
-    sampled = -1  # points in the last sample built
-    count = plan.initial_points
-    while True:
-        pts = _draw_points(rng, count, plan.radius, SAMPLE_CLEARANCE, poles, pts)
-        if len(pts) > sampled:
-            sampled = len(pts)
-            n_neg = inertia(gram_matrix(s, pts)).n_neg
-        if n_neg > best:
-            best = n_neg
-            stable = 1
-        else:
-            stable += 1
-        if stable >= 3:
-            return best
-        if count >= plan.max_points:
-            return best
-        count = min(2 * count, plan.max_points)
+    G = Q[:d, :d]
+    core = _counted(G, noise)
+    return core.n_neg if core.n_zero == 0 else _winding(D, G, noise)

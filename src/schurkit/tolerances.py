@@ -43,9 +43,6 @@ CIRCLE_SAMPLES = 512
 POLE_CLEARANCE = 1e-9
 DIAG_TOL = 1e-12
 
-# Pole distance of the negative-squares estimator's probes and random draws.
-SAMPLE_CLEARANCE = 0.05
-
 # Degree cap for rational functions; root finding by companion matrix is
 # reliable in double precision up to this size.
 MAX_DEGREE = 64

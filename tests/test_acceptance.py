@@ -219,8 +219,8 @@ def test_criterion_6_kernel_oracle_equivalence():
 
 def test_criterion_7_desk_scale_documentation():
     # No scaled-down substitutions: every golden value above is closed-form.
-    # The single sampling caveat (the negative-squares estimator is a lower
-    # bound) must be stated where the estimator is defined.
+    # The negative-squares count draws no sample; where it is defined, its
+    # docstring must say that the count is exact or refused.
     doc = estimate_negative_squares.__doc__ or ""
-    ok = "lower-bound" in doc or "lower bound" in doc
-    _line(7, "desk-scale reproduction and estimator caveat", ok)
+    ok = "exact" in doc and "refused" in doc
+    _line(7, "desk-scale reproduction, count exact or refused", ok)

@@ -96,11 +96,24 @@ class TestNegsq:
         assert rep["estimated_negative_squares"] == 1
         assert rep["krein_langer"]["blaschke_order"] == 1
 
-    def test_overflowing_samples_exit_2(self, tmp_path, capsys):
+    def test_overflowing_function_is_refused(self, tmp_path, capsys):
+        # 1e200 (1 + z): the count reads scaled coefficients, so nothing
+        # overflows, and |s| > 1 on the circle is refused with the report kept
         f = {"num": [[1e200, 0], [1e200, 0]], "den": [[1, 0]]}
         code, rep = run_json(["negsq", write(tmp_path, "f.json", f)], capsys)
-        assert code == 2 and rep["status"] == "error"
-        assert rep["type"] == "NotHermitian" and "overflow" in rep["error"]
+        assert code == 1 and rep["status"] == "fail"
+        assert rep["estimated_negative_squares"] is None
+        assert "infinitely many" in rep["estimate_error"]
+
+    def test_refused_count_keeps_the_report(self, tmp_path, capsys):
+        f = {"num": [[2, 0]], "den": [[1, 0]]}
+        code, rep = run_json(["negsq", write(tmp_path, "f.json", f)], capsys)
+        assert code == 1 and rep["status"] == "fail"
+        assert rep["estimated_negative_squares"] is None
+        assert "exceeds 1" in rep["estimate_error"]
+        assert rep["krein_langer"]["blaschke_order"] is None
+        assert "modulus 2" in rep["krein_langer"]["error"]
+        assert rep["seed"] == 74010 and rep["tolerances"]["samples"] == 256
 
     def test_identity(self, tmp_path, capsys):
         f = {"num": [[0, 0], [1, 0]], "den": [[1, 0]]}

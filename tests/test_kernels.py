@@ -1,4 +1,4 @@
-"""Kernel evaluation, Gram inertia, and the negative-squares estimator."""
+"""Kernel evaluation, Gram inertia, and the negative-squares count."""
 
 import math
 import warnings
@@ -13,17 +13,18 @@ from hypothesis import strategies as st
 from conftest import random_blaschke
 from schurkit import kernels
 from schurkit.errors import (
+    BoundaryPole,
     DiagonalSingularity,
     NoAnalyticPoints,
+    NotGeneralizedSchur,
     NotHermitian,
     PoleProximity,
+    SchurkitError,
 )
 from schurkit.kernels import (
     HermitianSample,
     Inertia,
     SamplePlan,
-    _draw_points,
-    _pole_probes,
     estimate_negative_squares,
     gram_matrix,
     hermitian_eigenvalues,
@@ -92,7 +93,8 @@ class TestGram:
 class TestGramOverflow:
     """Samples whose entries could overflow a double raise NotHermitian
     naming the overflow, before an entry is formed; below that edge every
-    entry is finite and no numpy warning fires."""
+    entry is finite and no numpy warning fires. The count reads scaled
+    coefficients, so the same function is refused as |s| > 1, not overflow."""
 
     def test_overflowing_samples_raise(self):
         big = RationalFn(Poly([1e200, 1e200]), Poly.one(), reduce=False)
@@ -100,7 +102,7 @@ class TestGramOverflow:
             warnings.simplefilter("error")
             with pytest.raises(NotHermitian, match="overflow"):
                 gram_matrix(big, [0.1, 0.4j])
-            with pytest.raises(NotHermitian, match="overflow"):
+            with pytest.raises(NotGeneralizedSchur, match="exceeds 1"):
                 estimate_negative_squares(big, FAST)
 
     def test_threshold_is_the_first_overflowing_square(self):
@@ -283,37 +285,15 @@ class TestEstimator:
         assert a == b
 
     def test_pole_near_circle_still_counted(self):
-        # a pole close to the unit circle is reached by the probe points
-        # even when the random draws stay inside the plan radius
+        # a pole close to the unit circle, far outside the plan radius
         pole = 0.96 * np.exp(0.4j)
         s = RationalFn([1], [-pole, 1]) * 0.02
         assert estimate_negative_squares(s, FAST) == 1
 
     def test_no_analytic_points(self):
-        # 0.5/z is not unimodular, so it is sampled
-        with pytest.raises(NoAnalyticPoints):
-            estimate_negative_squares(RECIP * 0.5, SamplePlan(radius=1e-3))
-
-    def test_kappa_six_samples_grow(self):
-        # 18 pole probes outnumber the 8 and 16 points of the first rounds:
-        # the round that adds no points is not sampled again
-        s = _unimodular_rational([0.2j, -0.4], [0.5 * np.exp(1j * t) for t in range(6)], 1.0) * 0.8
-        sizes = []
-        draws = []
-
-        def record_gram(s, pts):
-            sizes.append(len(pts))
-            return gram_matrix(s, pts)
-
-        def record_draw(*args):
-            draws.append(args[1])
-            return _draw_points(*args)
-
-        with mock.patch.object(kernels, "gram_matrix", record_gram), \
-                mock.patch.object(kernels, "_draw_points", record_draw):
-            assert estimate_negative_squares(s) == 6
-        assert all(a < b for a, b in zip(sizes, sizes[1:]))
-        assert len(sizes) < len(draws)
+        # a plan whose disk holds no analytic point is not read: 0.5/z,
+        # which is not unimodular, is counted on its Schur-Cohn matrix
+        assert estimate_negative_squares(RECIP * 0.5, SamplePlan(radius=1e-3)) == 1
 
 
 class TestSamplePlan:
@@ -339,9 +319,9 @@ class TestSamplePlan:
         assert estimate_negative_squares(RECIP, plan) == 1
 
 
-# Reference copies of the one-point-at-a-time sampler and the allocating Gram
-# build; the array versions in kernels.py must match them bit for bit and
-# consume the seeded stream exactly as they do.
+# A seeded sampler (probes near each disk pole, then random draws clear of
+# the poles) that builds Gram samples for the tests, and a reference copy of
+# the allocating Gram build, which gram_matrix must match bit for bit.
 
 
 def ref_pole_probes(poles, clearance):
@@ -446,42 +426,6 @@ _seeds = st.integers(0, 2**32 - 1)
 _bitwise = settings(max_examples=100, deadline=None, derandomize=True)
 
 
-class TestSamplerBitwise:
-    @_bitwise
-    @given(_poles, _clearances)
-    def test_pole_probes(self, poles, clearance):
-        got = _pole_probes(poles, clearance)
-        assert same_bits(np.array(got, dtype=complex), np.array(ref_pole_probes(poles, clearance), dtype=complex))
-
-    @_bitwise
-    @given(_poles, st.integers(2, 128), _radii, _clearances, _seeds)
-    def test_draw_points(self, poles, count, radius, clearance, seed):
-        existing = ref_pole_probes(poles, clearance)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = outcome(_draw_points, rng, count, radius, clearance, poles, existing)
-        ref = outcome(ref_draw_points, ref_rng, count, radius, clearance, poles, existing)
-        assert same_outcome(got, ref, lambda a, b: same_bits(np.array(a, complex), np.array(b, complex)))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(st.integers(2, 4), st.floats(0.0, 4e-3), _seeds)
-    # a pole at the centre whose clearance covers the whole disk
-    @example(2, 0.0, 1)
-    def test_exhausted_disk(self, count, free, seed):
-        # A pole at 0 leaves only the annulus of area fraction `free` free, so
-        # the 2000 * count candidates may run out before `count` points land.
-        radius = 0.9
-        poles = np.array([0.0, 0.7j], dtype=complex)
-        clearance = radius * math.sqrt(1.0 - free)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = outcome(_draw_points, rng, count, radius, clearance, poles, [])
-        ref = outcome(ref_draw_points, ref_rng, count, radius, clearance, poles, [])
-        assert same_outcome(got, ref, lambda a, b: same_bits(np.array(a, complex), np.array(b, complex)))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        if free == 0.0:
-            assert isinstance(got, NoAnalyticPoints)
-
-
 def _rational(num, den):
     num, den = Poly(num), Poly(den)
     if num.is_zero or den.is_zero:
@@ -523,7 +467,7 @@ class TestGramBitwise:
     @_bitwise
     @given(st.integers(2, 128), _seeds)
     def test_sampled_gram_matrix(self, count, seed):
-        # the estimator's own sample: pole probes plus seeded draws
+        # a sample of pole probes plus seeded draws
         s = RationalFn([1, 0.3], [0.25, 0, 1])
         poles = s.poles()
         probes = ref_pole_probes(poles, 0.05)
@@ -642,7 +586,7 @@ class TestInertiaBitwise:
     @_bitwise
     @given(_disk_points, _disk_points, _angles, st.integers(8, 128), _seeds)
     def test_gram_sample(self, zeros, poles, phase, count, seed):
-        # the estimator's own sample: pole probes plus seeded draws
+        # a sample of pole probes plus seeded draws
         s = _disk_rational(zeros, poles, polar(1.0, phase))
         disk_poles = s.poles()
         probes = ref_pole_probes(disk_poles, 0.05)
@@ -661,8 +605,8 @@ class TestInertiaBitwise:
         check_inertia(_near_hermitian(seed, n, skew, real))
 
 
-# The kernel core: a unimodular function's negative squares are those of
-# its d x d coefficient matrix G, counted before any point is drawn.
+# The kernel core: a function's negative squares are those of one d x d
+# coefficient matrix G (its own, or its denominator's Schur-Cohn matrix).
 
 
 def _unimodular_rational(zeros, poles, c):
@@ -672,10 +616,30 @@ def _unimodular_rational(zeros, poles, c):
     return RationalFn(bz.num * bp.den, bz.den * bp.num, reduce=False)
 
 
-def _estimator_sample(s, count, seed):
+def _seeded_sample(s, count, seed):
     poles = s.poles()
-    pts = _draw_points(np.random.default_rng(seed), count, 0.9, 0.05, poles, _pole_probes(poles, 0.05))
+    pts = ref_draw_points(np.random.default_rng(seed), count, 0.9, 0.05, poles, ref_pole_probes(poles, 0.05))
     return gram_matrix(s, pts)
+
+
+def _scaled_pair(s):
+    """N and D of s padded to d + 1 coefficients, over their largest modulus."""
+    top = max(np.abs(s.num.coeffs).max(initial=0.0), np.abs(s.den.coeffs).max())
+    pad = [np.pad(p.coeffs, (0, s.degree + 1 - p.coeffs.size)) / top for p in (s.num, s.den)]
+    return pad[0].astype(complex), pad[1].astype(complex)
+
+
+def _generalized_schur(rng, d, kappa, inner):
+    """Untrimmed c B(zeros) / B(poles) of degree d with kappa disk poles,
+    built from coefficient arrays, so no trim or reduction changes it."""
+    zeros, poles = _disk_draws(rng, d - kappa), _disk_draws(rng, kappa)
+    num = np.array([rng.uniform(0.3, 0.95) if not inner else 1.0], dtype=complex)
+    den = np.ones(1, dtype=complex)
+    for a in zeros:
+        num, den = np.convolve(num, [-a, 1]), np.convolve(den, [1, -np.conj(a)])
+    for p in poles:
+        num, den = np.convolve(num, [1, -np.conj(p)]), np.convolve(den, [-p, 1])
+    return RationalFn(Poly(num, trim=False), Poly(den, trim=False), reduce=False)
 
 
 _core_points = st.lists(st.builds(polar, st.floats(0.0, 0.9), _angles), max_size=8)
@@ -690,15 +654,13 @@ class TestKernelCore:
             num = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
             den = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
             s = RationalFn(Poly(num), Poly(den), reduce=False)
-            Q, dd = kernels._kernel_core(s)
-            top = max(np.abs(s.num.coeffs).max(), np.abs(s.den.coeffs).max())
-            n, m = s.num.coeffs / top, s.den.coeffs / top
+            n, m = _scaled_pair(s)
+            Q = kernels._kernel_core(n, m)
             rem = np.convolve(m, m[::-1].conj()) - np.convolve(n, n[::-1].conj())
             tol = 8 * (d + 1) * np.finfo(float).eps
             assert Q.shape == (d + 1, d + 1)
             assert np.abs(Q[:, d] - rem[: d + 1]).max() <= tol
             assert np.abs(Q[d, ::-1] - rem[d:]).max() <= tol
-            assert abs(dd - np.abs(np.convolve(m, m[::-1].conj())).max()) <= tol
 
     @_bitwise
     @given(_core_points, _core_points, _angles, st.integers(0, 64), _seeds)
@@ -711,32 +673,85 @@ class TestKernelCore:
         with mock.patch.object(kernels, "gram_matrix", wraps=gram_matrix) as spy:
             assert estimate_negative_squares(s) == len(poles)
         spy.assert_not_called()
-        sample = outcome(_estimator_sample, s, s.degree + extra, seed)
+        sample = outcome(_seeded_sample, s, s.degree + extra, seed)
         if not isinstance(sample, Exception):
             assert inertia(sample).n_neg <= len(poles)
 
-    def test_shared_factor_defers_to_the_sampler(self):
-        # 1/z with the factor z - 0.3 left in: G is singular, so it is sampled
-        s = RationalFn(Poly([-0.3, 1]), Poly([0, 1]) * Poly([-0.3, 1]), reduce=False)
+    def test_shared_factor_is_cancelled_first(self):
+        # 1/z with the factor z - 0.3 left in: the public constructor cancels
+        # it, as the count's precondition (a reduced s) requires
+        s = RationalFn(Poly([-0.3, 1]), Poly([0, 1]) * Poly([-0.3, 1]))
+        assert s.degree == 1
         with mock.patch.object(kernels, "gram_matrix", wraps=gram_matrix) as spy:
             assert estimate_negative_squares(s, FAST) == 1
-        spy.assert_called()
+        spy.assert_not_called()
 
     def test_not_unimodular_is_never_answered(self):
+        # by its own core: each function below is counted on the Schur-Cohn
+        # matrix of its denominator, the core of D# / D, and no point is drawn
         s = _unimodular_rational([0.3, -0.5j], [0.4j], 1j)
         plan = SamplePlan(initial_points=128, max_points=128, seed=5)
-        for f in (s * 0.8, s * (1 + 1e-6), RECIP * 0.5, RationalFn.constant(0.5)):
-            Q, dd = kernels._kernel_core(f)
-            d = f.degree
-            assert max(np.abs(Q[d]).max(), np.abs(Q[:, d]).max()) > CIRCLE_TOL * dd
-            with mock.patch.object(kernels, "gram_matrix", wraps=gram_matrix) as spy:
-                estimate_negative_squares(f, plan)
-            spy.assert_called()
-        with mock.patch.object(kernels, "gram_matrix", wraps=gram_matrix) as spy:
-            assert estimate_negative_squares(s * 0.8, plan) == estimate_negative_squares(s, plan) == 1
-        spy.assert_called_once()
+        for f, kappa in ((s * 0.8, 1), (RECIP * 0.5, 1), (RationalFn.constant(0.5), 0)):
+            n, m = _scaled_pair(f)
+            rem = np.convolve(m, m[::-1].conj()) - np.convolve(n, n[::-1].conj())
+            assert np.abs(rem).max() > CIRCLE_TOL * np.vdot(m, m).real
+            with mock.patch.object(kernels, "_kernel_core", wraps=kernels._kernel_core) as core, \
+                    mock.patch.object(kernels, "gram_matrix", wraps=gram_matrix) as spy:
+                assert estimate_negative_squares(f, plan) == kappa
+            spy.assert_not_called()
+            (N, D), _ = core.call_args
+            assert core.call_count == 1
+            assert np.array_equal(D, m) and np.array_equal(N, m[::-1].conj())
 
     def test_plan_is_not_read(self):
         # a plan whose disk holds no analytic point still counts 1/z exactly
         assert estimate_negative_squares(RECIP, SamplePlan(radius=1e-3)) == 1
         assert estimate_negative_squares(RationalFn.constant(np.exp(0.7j)), SamplePlan(radius=1e-3)) == 0
+
+
+class TestCount:
+    """The count is exact or refused: never a finite number for |s| > 1, and
+    a certified winding number where the matrix has a zero-band eigenvalue."""
+
+    @pytest.mark.parametrize("d", [17, 24, 32, 48, 64])
+    @pytest.mark.parametrize("inner", [True, False], ids=["inner", "scaled"])
+    def test_degree_sweep(self, d, inner):
+        for i in range(3):
+            rng = np.random.default_rng([2200, d, i, inner])
+            kappa = int(rng.integers(0, 9))
+            s = _generalized_schur(rng, d, kappa, inner)
+            try:
+                assert estimate_negative_squares(s) == kappa, (i, kappa)
+            except SchurkitError:
+                assert d > 24, i  # refusals were measured only from d = 32 up
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            RationalFn.constant(2.0),
+            _unimodular_rational([0.3, -0.5j], [0.4j], 1j) * (1 + 1e-6),
+            Z * Z * 1.5,
+        ],
+        ids=["two", "unimodular-times-1+1e-6", "1.5z^2"],
+    )
+    def test_modulus_above_one_is_refused(self, f):
+        with pytest.raises(NotGeneralizedSchur, match="infinitely many"):
+            estimate_negative_squares(f)
+
+    def test_zero_band_falls_back_to_the_winding_number(self):
+        # D = (z - 0.5)(z - 2) has D# = D, so its Schur-Cohn matrix is 0
+        D = Poly([-0.5, 1]) * Poly([-2, 1])
+        s = RationalFn(Poly([0.25]), D)
+        n, m = _scaled_pair(s)
+        assert np.array_equal(m[::-1].conj(), m)
+        with mock.patch.object(kernels, "_winding", wraps=kernels._winding) as winding:
+            assert estimate_negative_squares(s) == 1
+        winding.assert_called_once()
+
+    def test_zero_on_the_circle_is_refused(self):
+        # unreduced D# / D with D(1) = 0: the matrix is singular and the
+        # winding number of D is not certified near z = 1
+        D = Poly([-1, 1]) * Poly([-0.5, 1])
+        s = RationalFn(Poly(D.coeffs[::-1].conj()), D, reduce=False)
+        with pytest.raises(BoundaryPole, match="zero band"):
+            estimate_negative_squares(s)
