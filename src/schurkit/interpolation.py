@@ -33,7 +33,7 @@ from .errors import (
     SingularPick,
     VerificationError,
 )
-from .kernels import SamplePlan, estimate_negative_squares, inertia
+from .kernels import Inertia, SamplePlan, estimate_negative_squares, inertia
 from .rational import Mat2RF, Poly, RationalFn, _trim, _valuation, as_rational
 from .tolerances import (
     ADMIS_TOL,
@@ -159,6 +159,11 @@ def pick_matrix(data):
     exactly when an eigenvalue lies in inertia's zero band, where the count
     of negative eigenvalues is undetermined.
     """
+    return _pick_counted(data)[0]
+
+
+def _pick_counted(data):
+    """(P, inertia(P)) for pick_matrix's P, with its refusals."""
     P = np.conj(data.tau0) * toeplitz_matrix(data) @ binomial_matrix(data)
     try:
         counts = inertia(P)
@@ -166,7 +171,7 @@ def pick_matrix(data):
         raise NonHermitianPick("Pick matrix of the data is not Hermitian") from None
     if counts.n_zero:
         raise SingularPick("Pick matrix is numerically singular")
-    return P
+    return P, counts
 
 
 def pick_polynomial(data):
@@ -211,6 +216,10 @@ class CoeffMatrix:
     (n, d) it has determinant D^2, so the pair can share only powers of t,
     which are dropped leading coefficients instead of a generic reduction.
 
+    `_pick_inertia` is `inertia(pick)`, counted once by the build; the
+    rigidity verdict, `solution_negative_squares` and the CLI read it
+    instead of taking the Pick matrix's eigenvalues again.
+
     `mat`, the four entries as a Mat2RF, is built on its first read and kept;
     the parametrization does not read it. `mat.apply` is the generic
     linear-fractional transform with SVD reductions, not the
@@ -222,6 +231,7 @@ class CoeffMatrix:
     poly: Poly
     pick: np.ndarray
     neutral: np.ndarray = field(repr=False)
+    _pick_inertia: Inertia = field(repr=False)
 
     @cached_property
     def mat(self):
@@ -291,7 +301,7 @@ def coeff_matrix(data):
     cm = getattr(data, "_coeff_matrix", None)
     if cm is not None:
         return cm
-    P = pick_matrix(data)
+    P, counts = _pick_counted(data)
     p = pick_polynomial(data)
     # Coprime: p(z1) != 0 and z0 != z1.
     weight = Poly((1.0, -np.conj(data.z0))) * p
@@ -304,7 +314,7 @@ def coeff_matrix(data):
         raise VerificationError("coefficient matrix is not J-unitary on the circle")
     P.setflags(write=False)
     u.setflags(write=False)
-    cm = CoeffMatrix(data=data, theta=theta, poly=p, pick=P, neutral=u)
+    cm = CoeffMatrix(data=data, theta=theta, poly=p, pick=P, neutral=u, _pick_inertia=counts)
     object.__setattr__(data, "_coeff_matrix", cm)
     return cm
 
@@ -509,8 +519,7 @@ def solution_negative_squares(data, s1, plan=None):
     plan = plan or SamplePlan()
     s1 = as_rational(s1)
     cm = coeff_matrix(data)
-    ev_neg = inertia(cm.pick).n_neg
-    predicted = estimate_negative_squares(s1, plan) + ev_neg
+    predicted = estimate_negative_squares(s1, plan) + cm._pick_inertia.n_neg
     s = solve(data, s1, theta=cm)
     observed = estimate_negative_squares(s, plan)
     return predicted, observed

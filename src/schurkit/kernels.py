@@ -216,6 +216,20 @@ def _kernel_core(N, D):
     return Q
 
 
+def _core_inertia(D, N=None):
+    """(G, noise, counts) of the kernel core of N / D (D, N of length d + 1):
+    G = Q[:d, :d] of `_kernel_core(N, D)`, `noise` the remainder's largest
+    modulus, and G's eigenvalue counts outside that band. N defaults to D#,
+    making G the Schur-Cohn matrix of D: its ev_- counts the zeros of D in
+    the disk, its ev_+ those outside, and its zero band holds the circle
+    zeros and those shared with D# (Krein-Naimark)."""
+    d = D.size - 1
+    Q = _kernel_core(D[::-1].conj() if N is None else N, D)
+    noise = float(np.abs(np.concatenate((Q[d], Q[:, d]))).max())
+    G = Q[:d, :d]
+    return G, noise, _counted(G, noise)
+
+
 _WINDING_POINTS = 2**16
 
 
@@ -299,9 +313,6 @@ def estimate_negative_squares(s, plan=SamplePlan()):
                 f"|s| exceeds 1 + {CIRCLE_TOL:g} on the circle: "
                 "the kernel has infinitely many negative squares"
             )
-        N = D[::-1].conj()
-    Q = _kernel_core(N, D)
-    noise = float(np.abs(np.concatenate((Q[d], Q[:, d]))).max())
-    G = Q[:d, :d]
-    core = _counted(G, noise)
+        N = None  # the Schur-Cohn core of D
+    G, noise, core = _core_inertia(D, N)
     return core.n_neg if core.n_zero == 0 else _winding(D, G, noise)

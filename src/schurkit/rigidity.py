@@ -30,7 +30,8 @@ from .interpolation import (
     solve,
     verify_expansion,
 )
-from .kernels import inertia
+# inertia is not called here but stays bound: bench/tracing.py wraps rigidity.inertia.
+from .kernels import _core_inertia, inertia  # noqa: F401
 from .rational import (
     _CIRCLE,
     INF,
@@ -39,7 +40,7 @@ from .rational import (
     as_rational,
     cayley_fn,
 )
-from .tolerances import CIRCLE_TOL, MODULUS_MARGIN
+from .tolerances import ADMIS_TOL, CIRCLE_TOL, MODULUS_MARGIN
 
 __all__ = [
     "PathSpec",
@@ -237,12 +238,24 @@ def rigidity_check(data, x, s):
     T(x) identically (checked) and the order is INF. Otherwise the verdict
     reports the parameter's deviation order from x as observed - 2k, since
     s - T(x) is (s1 - x) (z - z1)^(2k) times a unit at z1.
+
+    The report ends with the class note: the disk poles of s, counted as
+    the negative eigenvalues of the Schur-Cohn matrix of s.den (no roots
+    are taken), against the Pick matrix's negative eigenvalues. Where that
+    matrix has eigenvalues in its zero band (poles on or within rounding of
+    the circle, or pairs reflected in it) the pole count is the range
+    n_neg to n_neg + n_zero, and a class mismatch is flagged only outside it.
+    x within ADMIS_TOL of tau0 is refused: T(x) needs an admissible x.
     """
     x = complex(x)
     if not abs(abs(x) - 1.0) <= CIRCLE_TOL:
         raise InvalidContactPoint("contact point must be unimodular")
-    if abs(x - data.tau0) <= 1e-12:
-        raise InvalidContactPoint("contact point must differ from tau0")
+    gap = abs(x - data.tau0)
+    if gap <= ADMIS_TOL:
+        raise InvalidContactPoint(
+            f"contact point must differ from tau0: |x - tau0| = {gap:.3g} <= "
+            f"ADMIS_TOL = {ADMIS_TOL:.3g}"
+        )
     s = as_rational(s)
     report = verify_expansion(s, data)
     if not report.passed:
@@ -267,17 +280,32 @@ def rigidity_check(data, x, s):
             notes.append(f"s and T(x) pass the expansion check but differ at c{observed}")
         else:
             notes.append(f"recovered parameter deviates from x at order {dev}")
-    kappa_pole = int(sum(1 for p in s.poles() if abs(p) < 1.0))
-    ev_neg = inertia(cm.pick).n_neg
-    notes.append(
-        f"disk pole count {kappa_pole} vs negative Pick eigenvalues {ev_neg}"
-        + ("" if kappa_pole == ev_neg else " (class mismatch: theorem hypotheses not met)")
-    )
+    notes.append(_class_note(s, cm._pick_inertia.n_neg))
     return RigidityVerdict(
         required_order=required,
         observed_order=observed if observed == INF else float(observed),
         forced_identity=bool(forced),
         residual_report="; ".join(notes),
+    )
+
+
+def _disk_poles(s):
+    """(n_neg, n_zero) of the Schur-Cohn matrix of s.den: s has n_neg to
+    n_neg + n_zero poles in the open disk, exactly n_neg when n_zero is 0."""
+    den = s.den.coeffs
+    counts = _core_inertia(den / np.abs(den).max())[2]
+    return counts.n_neg, counts.n_zero
+
+
+def _class_note(s, ev_neg):
+    """The class hypothesis sq_-(s) = ev_-(P) of the rigidity theorem, with
+    sq_-(s) the number of disk poles of s (Krein-Langer)."""
+    low, band = _disk_poles(s)
+    count = f"{low}" if band == 0 else f"{low} to {low + band}"
+    mismatch = not low <= ev_neg <= low + band
+    return (
+        f"disk pole count {count} vs negative Pick eigenvalues {ev_neg}"
+        + (" (class mismatch: theorem hypotheses not met)" if mismatch else "")
     )
 
 

@@ -8,7 +8,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from conftest import random_admissible_parameter, random_interp_data, unimodular
-from schurkit import interpolation, rigidity
+from schurkit import interpolation, kernels, rigidity
 from schurkit.errors import (
     InadmissibleParameter,
     InvalidProblemData,
@@ -430,13 +430,36 @@ class TestOneBuildPerDatum:
     )
     def test_failed_build_is_not_kept(self, monkeypatch, tau, error):
         calls = []
-        build = interpolation.pick_matrix
-        monkeypatch.setattr(interpolation, "pick_matrix", lambda d: calls.append(d) or build(d))
+        build = interpolation._pick_counted
+        monkeypatch.setattr(interpolation, "_pick_counted", lambda d: calls.append(d) or build(d))
         d = InterpData(z1=1.0, k=2, tau0=1.0, tau=tau, z0=-1.0)
         for _ in range(2):
             with pytest.raises(error):
                 coeff_matrix(d)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_kept_pick_count_is_inertia_of_pick(self, k):
+        data = random_interp_data(np.random.default_rng([7910, k]), k, min_ratio=0.3 if k < 6 else 1e-3)
+        cm = coeff_matrix(data)
+        assert cm._pick_inertia == inertia(cm.pick)
+        assert "_pick_inertia" not in repr(cm)
+
+    def test_one_pick_eigensolve_per_build(self, monkeypatch):
+        # Every Hermitian eigensolve is recorded; those of the Pick matrix are
+        # picked out by value (the others are Schur-Cohn and kernel cores).
+        rng = np.random.default_rng(7920)
+        data = random_interp_data(rng, 3)
+        s1 = random_admissible_parameter(rng, data)
+        seen = []
+        eigvals = kernels.hermitian_eigenvalues
+        monkeypatch.setattr(kernels, "hermitian_eigenvalues", lambda H: seen.append(H) or eigvals(H))
+        cm = coeff_matrix(data)
+        s = solve(data, s1, theta=cm)
+        rigidity_check(data, -data.tau0, s)
+        solution_negative_squares(data, s1)
+        pick = [H for H in seen if H.shape == cm.pick.shape and np.allclose(H, cm.pick, rtol=1e-12)]
+        assert len(pick) == 1 and len(seen) > 1
 
     def test_shared_arrays_are_read_only(self):
         cm = coeff_matrix(self.fresh())

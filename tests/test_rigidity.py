@@ -207,6 +207,14 @@ class TestRigidityCheck:
         with pytest.raises(InvalidContactPoint):
             rigidity_check(D4, 1.0, RationalFn.x())
 
+    def test_rejects_contact_within_admis_tol_of_tau0(self):
+        # T(x) for x this close to tau0 is an inadmissible parameter: the
+        # refusal names the contact point, not the inner solve's parameter.
+        data = InterpData(z1=1, k=1, tau0=1, tau=(0.5,), z0=-1)
+        s = solve(data, -1.0)
+        with pytest.raises(InvalidContactPoint, match=r"\|x - tau0\| = 1e-09 <= ADMIS_TOL = 1e-06"):
+            rigidity_check(data, np.exp(1e-9j), s)
+
     def test_rejects_non_solution(self):
         with pytest.raises(HypothesisNotMet):
             rigidity_check(D5, -1.0, RationalFn.x())
@@ -308,6 +316,62 @@ class TestRigidityCheck:
         s = RationalFn(Poly(num), Poly(den), reduce=False)
         v = rigidity_check(data, -data.tau0, s)
         assert not v.forced_identity and v.observed_order == 8 and v.required_order == 10
+
+
+def seeded_solution(k):
+    """A solution of a seeded datum with contact order k, and its datum."""
+    rng = np.random.default_rng([7900, k, 0])
+    data = random_interp_data(rng, k, min_ratio=0.3 if k < 6 else 1e-3)
+    return data, solve(data, random_admissible_parameter(rng, data))
+
+
+def oracle_disk_poles(s):
+    """Zeros of s.den in the open disk, from 30-digit roots of its double
+    coefficients, and the least distance of a zero from the circle."""
+    with mp.workdps(30):
+        coeffs = [mp.mpc(c.real, c.imag) for c in s.den.coeffs[::-1].tolist()]
+        moduli = [abs(r) for r in mp.polyroots(coeffs, maxsteps=200, extraprec=100)]
+        return sum(m < 1 for m in moduli), float(min(abs(m - 1) for m in moduli))
+
+
+class TestClassNote:
+    """The class note counts disk poles on the Schur-Cohn matrix of s.den."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_count_matches_the_oracle(self, k):
+        data, s = seeded_solution(k)
+        count, margin = oracle_disk_poles(s)
+        assert margin > 1e-7  # the oracle decides every zero
+        v = rigidity_check(data, -data.tau0, s)
+        ev = coeff_matrix(data)._pick_inertia.n_neg
+        assert v.residual_report.endswith(f"; disk pole count {count} vs negative Pick eigenvalues {ev}")
+
+    @pytest.mark.parametrize(
+        "den, band",
+        [
+            ((1.0, 1.0), (0, 1)),  # a pole at -1: D# = D
+            ((1.0, -2.5, 1.0), (0, 2)),  # (z - 0.5)(z - 2): D# = D, one pole in the disk
+        ],
+    )
+    def test_zero_band_gives_a_range(self, den, band):
+        s = RationalFn(Poly.one(), Poly(den), reduce=False)
+        assert rigidity._disk_poles(s) == band
+        low, high = band[0], band[0] + band[1]
+        for ev in range(high + 2):
+            note = rigidity._class_note(s, ev)
+            assert note.startswith(f"disk pole count {low} to {high} vs negative Pick eigenvalues {ev}")
+            assert ("class mismatch" in note) == (ev > high)
+
+    def test_k8_verdict_takes_no_roots(self, monkeypatch):
+        data, s = seeded_solution(8)
+        expected = rigidity_check(data, -data.tau0, s)
+
+        def refuse(self):
+            raise AssertionError("Poly.roots called")
+
+        monkeypatch.setattr(Poly, "roots", refuse)
+        fresh = RationalFn(s.num, s.den, reduce=False)  # no cached poles
+        assert rigidity_check(data, -data.tau0, fresh) == expected
 
 
 class TestHorocycle:

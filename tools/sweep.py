@@ -1,6 +1,6 @@
-"""Sweep the negative-squares count over degree cells into BENCH_<sha>.json.
+"""Sweep the negative-squares count and the rigidity class note into BENCH_<sha>.json.
 
-    python3 tools/sweep.py [--degrees 8 16 17 24 32 48 64] [--per-degree 60] [--out FILE]
+    python3 tools/sweep.py [--degrees 8 16 17 24 32 48 64] [--per-degree 60] [--per-cell 2] [--out FILE]
 
 Run from the root of a source checkout: the library is imported from ./src
 and the inputs are built by ./bench/gen.py, which is only imported, never
@@ -12,8 +12,21 @@ untrimmed coefficients, so the count sees the function as drawn.
 
 Each cell (degree, inner) records how many counts were right, wrong and
 refused (by error type), and the median and maximum microseconds per count
-(`estimate_negative_squares` on the built function, one call each). The
-result goes to BENCH_<short sha of HEAD>.json at the checkout root (or to
+(`estimate_negative_squares` on the built function, one call each).
+
+The class note of `rigidity_check` is swept over interp solutions: for
+each k = 1..8, parameter degree 1..16 and j < --per-cell, a datum and an
+admissible parameter are drawn as `bench/workloads.py` draws the interp
+deck (`gen.boundary_datum`, then `gen.admissible_parameter`, inner on odd
+degree), from `default_rng([7800, k, degree, j])`, and solved. Each verdict
+cell, keyed by the solution's degree, records how many notes give a count
+and how many a range (the Schur-Cohn matrix of the denominator has a
+zero-band eigenvalue), how many agree with the disk-pole count of
+`s.poles()` (equal, or inside the range), the disagreements, and the
+median microseconds of the note (`rigidity._class_note`) and of the roots
+(`s.den.roots()`, what `s.poles()` computes), each the best of 3 calls.
+
+The result goes to BENCH_<short sha of HEAD>.json at the checkout root (or to
 --out), with `dirty` set when the working tree differs from HEAD, so two
 checkouts' files can be diffed cell by cell.
 """
@@ -31,7 +44,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
-from collections import Counter  # noqa: E402
+from collections import Counter, defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -75,10 +88,61 @@ def sweep_cell(sk, gen, d, inner, per_degree):
     }
 
 
+def verdict_cells(sk, gen, per_cell):
+    """Class-note cells over interp solutions, keyed by solution degree."""
+    from schurkit import rigidity
+
+    def best_us(fn):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            fn()
+            times.append(1e6 * (time.perf_counter() - start))
+        return min(times)
+
+    rows, refused = defaultdict(list), Counter()
+    for k in range(1, 9):
+        for degree in range(1, 17):
+            for j in range(per_cell):
+                rng = np.random.default_rng([7800, k, degree, j])
+                z1, tau0, tau, z0 = gen.boundary_datum(rng, k)
+                num, den = gen.admissible_parameter(rng, degree, z1, tau0, inner=degree % 2 == 1)
+                try:
+                    data = sk.InterpData(z1=z1, k=k, tau0=tau0, tau=tau, z0=z0)
+                    cm = sk.coeff_matrix(data)
+                    s = sk.solve(data, sk.RationalFn(sk.Poly(num), sk.Poly(den)), theta=cm, verify=False)
+                except sk.SchurkitError as exc:
+                    refused[type(exc).__name__] += 1
+                    continue
+                low, band = rigidity._disk_poles(s)
+                roots = int(np.count_nonzero(np.abs(s.poles()) < 1.0))
+                rows[s.degree].append({
+                    "k": k, "degree": degree, "j": j, "low": low, "band": band, "roots": roots,
+                    "note_us": best_us(lambda: rigidity._class_note(s, cm._pick_inertia.n_neg)),
+                    "roots_us": best_us(s.den.roots),
+                })
+    cells = []
+    for d in sorted(rows):
+        cell = rows[d]
+        cells.append({
+            "solution_degree": d,
+            "solutions": len(cell),
+            "counts": sum(r["band"] == 0 for r in cell),
+            "ranges": sum(r["band"] > 0 for r in cell),
+            "agree": sum(r["low"] <= r["roots"] <= r["low"] + r["band"] for r in cell),
+            "disagree": [{n: r[n] for n in ("k", "degree", "j", "low", "band", "roots")}
+                         for r in cell if not r["low"] <= r["roots"] <= r["low"] + r["band"]],
+            "note_median_us": round(statistics.median(r["note_us"] for r in cell), 1),
+            "roots_median_us": round(statistics.median(r["roots_us"] for r in cell), 1),
+        })
+    return cells, dict(sorted(refused.items()))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--degrees", type=int, nargs="+", default=[8, 16, 17, 24, 32, 48, 64])
     parser.add_argument("--per-degree", type=int, default=60)
+    parser.add_argument("--per-cell", type=int, default=2)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
     if not (ROOT / "src" / "schurkit" / "__init__.py").is_file():
@@ -99,6 +163,12 @@ def main():
             print(f"d={d:<3} inner={inner!s:<5} right={cell['right']:<3} wrong={cell['wrong']:<3} "
                   f"refused={refused:<3} median={cell['median_us']:.0f}us max={cell['max_us']:.0f}us",
                   file=sys.stderr)
+    verdicts, refused = verdict_cells(sk, gen, args.per_cell)
+    for cell in verdicts:
+        print(f"solution degree {cell['solution_degree']:<3} n={cell['solutions']:<3} "
+              f"counts={cell['counts']:<3} ranges={cell['ranges']:<3} agree={cell['agree']:<3} "
+              f"note={cell['note_median_us']:.0f}us roots={cell['roots_median_us']:.0f}us",
+              file=sys.stderr)
     result = {
         "sha": sha,
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no", "src", "bench")),
@@ -111,6 +181,12 @@ def main():
                  "kappa = i % 9, inner on even i, reduce=False, untrimmed",
         "per_degree": args.per_degree,
         "cells": cells,
+        "verdict_sweep": "rigidity class note on interp solutions: gen.boundary_datum and "
+                         "gen.admissible_parameter (inner on odd degree) from "
+                         "default_rng([7800, k, degree, j]), k = 1..8, degree 1..16",
+        "per_cell": args.per_cell,
+        "verdict_refused": refused,
+        "verdict_cells": verdicts,
     }
     out = args.out or ROOT / f"BENCH_{sha}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
