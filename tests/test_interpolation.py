@@ -440,7 +440,8 @@ class TestOneBuildPerDatum:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_kept_pick_count_is_inertia_of_pick(self, k):
-        data = random_interp_data(np.random.default_rng([7910, k]), k, min_ratio=0.3 if k < 6 else 1e-3)
+        rng = np.random.default_rng([7910, k])
+        data = random_interp_data(rng, k, min_ratio=0.3 if k < 6 else 1e-3)
         cm = coeff_matrix(data)
         assert cm._pick_inertia == inertia(cm.pick)
         assert "_pick_inertia" not in repr(cm)
@@ -453,7 +454,9 @@ class TestOneBuildPerDatum:
         s1 = random_admissible_parameter(rng, data)
         seen = []
         eigvals = kernels.hermitian_eigenvalues
-        monkeypatch.setattr(kernels, "hermitian_eigenvalues", lambda H: seen.append(H) or eigvals(H))
+        monkeypatch.setattr(
+            kernels, "hermitian_eigenvalues", lambda H: seen.append(H) or eigvals(H)
+        )
         cm = coeff_matrix(data)
         s = solve(data, s1, theta=cm)
         rigidity_check(data, -data.tau0, s)

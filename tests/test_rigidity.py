@@ -344,7 +344,8 @@ class TestClassNote:
         assert margin > 1e-7  # the oracle decides every zero
         v = rigidity_check(data, -data.tau0, s)
         ev = coeff_matrix(data)._pick_inertia.n_neg
-        assert v.residual_report.endswith(f"; disk pole count {count} vs negative Pick eigenvalues {ev}")
+        note = f"; disk pole count {count} vs negative Pick eigenvalues {ev}"
+        assert v.residual_report.endswith(note)
 
     @pytest.mark.parametrize(
         "den, band",
@@ -359,7 +360,8 @@ class TestClassNote:
         low, high = band[0], band[0] + band[1]
         for ev in range(high + 2):
             note = rigidity._class_note(s, ev)
-            assert note.startswith(f"disk pole count {low} to {high} vs negative Pick eigenvalues {ev}")
+            expected = f"disk pole count {low} to {high} vs negative Pick eigenvalues {ev}"
+            assert note.startswith(expected)
             assert ("class mismatch" in note) == (ev > high)
 
     def test_k8_verdict_takes_no_roots(self, monkeypatch):

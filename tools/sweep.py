@@ -110,7 +110,8 @@ def verdict_cells(sk, gen, per_cell):
                 try:
                     data = sk.InterpData(z1=z1, k=k, tau0=tau0, tau=tau, z0=z0)
                     cm = sk.coeff_matrix(data)
-                    s = sk.solve(data, sk.RationalFn(sk.Poly(num), sk.Poly(den)), theta=cm, verify=False)
+                    s1 = sk.RationalFn(sk.Poly(num), sk.Poly(den))
+                    s = sk.solve(data, s1, theta=cm, verify=False)
                 except sk.SchurkitError as exc:
                     refused[type(exc).__name__] += 1
                     continue
