@@ -1,6 +1,6 @@
 """Sweep the negative-squares count and the rigidity class note into BENCH_<sha>.json.
 
-    python3 tools/sweep.py [--degrees 8 16 17 24 32 48 64] [--per-degree 60] [--per-cell 2] [--out FILE]
+    python3 tools/sweep.py [--degrees 8 16 17 24 32 48 64] [--per-degree 60] [--out FILE]
 
 Run from the root of a source checkout: the library is imported from ./src
 and the inputs are built by ./bench/gen.py, which is only imported, never
@@ -15,7 +15,7 @@ refused (by error type), and the median and maximum microseconds per count
 (`estimate_negative_squares` on the built function, one call each).
 
 The class note of `rigidity_check` is swept over interp solutions: for
-each k = 1..8, parameter degree 1..16 and j < --per-cell, a datum and an
+each k = 1..8, parameter degree 1..16 and j < PER_CELL (2), a datum and an
 admissible parameter are drawn as `bench/workloads.py` draws the interp
 deck (`gen.boundary_datum`, then `gen.admissible_parameter`, inner on odd
 degree), from `default_rng([7800, k, degree, j])`, and solved. Each verdict
@@ -50,6 +50,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path.cwd()
+# Interp solutions per (k, parameter degree) verdict cell.
+PER_CELL = 2
 
 
 def git(*args):
@@ -88,7 +90,7 @@ def sweep_cell(sk, gen, d, inner, per_degree):
     }
 
 
-def verdict_cells(sk, gen, per_cell):
+def verdict_cells(sk, gen):
     """Class-note cells over interp solutions, keyed by solution degree."""
     from schurkit import rigidity
 
@@ -103,7 +105,7 @@ def verdict_cells(sk, gen, per_cell):
     rows, refused = defaultdict(list), Counter()
     for k in range(1, 9):
         for degree in range(1, 17):
-            for j in range(per_cell):
+            for j in range(PER_CELL):
                 rng = np.random.default_rng([7800, k, degree, j])
                 z1, tau0, tau, z0 = gen.boundary_datum(rng, k)
                 num, den = gen.admissible_parameter(rng, degree, z1, tau0, inner=degree % 2 == 1)
@@ -143,7 +145,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--degrees", type=int, nargs="+", default=[8, 16, 17, 24, 32, 48, 64])
     parser.add_argument("--per-degree", type=int, default=60)
-    parser.add_argument("--per-cell", type=int, default=2)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args()
     if not (ROOT / "src" / "schurkit" / "__init__.py").is_file():
@@ -164,7 +165,7 @@ def main():
             print(f"d={d:<3} inner={inner!s:<5} right={cell['right']:<3} wrong={cell['wrong']:<3} "
                   f"refused={refused:<3} median={cell['median_us']:.0f}us max={cell['max_us']:.0f}us",
                   file=sys.stderr)
-    verdicts, refused = verdict_cells(sk, gen, args.per_cell)
+    verdicts, refused = verdict_cells(sk, gen)
     for cell in verdicts:
         print(f"solution degree {cell['solution_degree']:<3} n={cell['solutions']:<3} "
               f"counts={cell['counts']:<3} ranges={cell['ranges']:<3} agree={cell['agree']:<3} "
@@ -185,7 +186,7 @@ def main():
         "verdict_sweep": "rigidity class note on interp solutions: gen.boundary_datum and "
                          "gen.admissible_parameter (inner on odd degree) from "
                          "default_rng([7800, k, degree, j]), k = 1..8, degree 1..16",
-        "per_cell": args.per_cell,
+        "per_cell": PER_CELL,
         "verdict_refused": refused,
         "verdict_cells": verdicts,
     }
