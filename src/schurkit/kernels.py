@@ -121,32 +121,23 @@ def gram_matrix(s, points):
     pts = np.asarray(points, dtype=complex).ravel()
     if np.any(_pole_distance(s.poles(), pts) <= POLE_CLEARANCE):
         raise PoleProximity("sample point too close to a pole")
-    # Every n x n pass runs in place in denom, raw and one magnitude buffer;
-    # herm is the only other n x n array, and it is returned.
-    denom = np.outer(pts, pts.conj())
-    np.subtract(1.0, denom, out=denom)
-    mag = np.abs(denom)
-    dmin = float(mag.min(initial=np.inf))
+    denom = 1.0 - np.outer(pts, pts.conj())
+    dmin = float(np.abs(denom).min(initial=np.inf))
     if dmin <= DIAG_TOL * (1.0 + np.max(np.abs(pts), initial=0.0) ** 2):
         raise DiagonalSingularity("points z, w with z*conj(w) = 1 in the sample")
     sv = s(pts)
     peak = float(np.max(np.abs(sv), initial=0.0))
     if peak > math.sqrt(_MAX * dmin) / 2:
         raise NotHermitian(f"kernel samples overflow: |s| reaches {peak:.3g} on the sample")
-    raw = np.outer(sv, sv.conj())
-    np.subtract(1.0, raw, out=raw)
-    raw /= denom
-    adj = np.conjugate(raw.T, out=denom)  # raw* in denom's buffer
-    herm = raw + adj
-    herm *= 0.5
-    scale = float(np.abs(raw, out=mag).max(initial=0.0))
+    raw = (1.0 - np.outer(sv, sv.conj())) / denom
+    adj = raw.conj().T
+    herm = (raw + adj) * 0.5
+    scale = float(np.abs(raw).max(initial=0.0))
     # A kernel that vanishes identically (s a unimodular constant) samples as
     # rounding noise; below the noise bound the matrix is numerically zero
     # and carries no asymmetry information.
-    noise = 256.0 * np.finfo(float).eps * (1.0 + peak**2)
-    noise /= dmin
-    np.subtract(raw, adj, out=adj)
-    asym = float(np.abs(adj, out=mag).max(initial=0.0))
+    noise = 256.0 * np.finfo(float).eps * (1.0 + peak**2) / dmin
+    asym = float(np.abs(raw - adj).max(initial=0.0))
     asym = 0.0 if scale <= noise else asym / scale
     return HermitianSample(points=pts, entries=herm, asymmetry=asym, noise=noise)
 

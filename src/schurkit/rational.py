@@ -465,6 +465,8 @@ class RationalFn:
         return self.num(z) / self.den(z)
 
     def poles(self):
+        """Roots of the denominator, computed once; read only where a pole's
+        location is the answer (krein_langer_factor, schur_kernel, gram_matrix)."""
         if self._poles is None:
             self._poles = self.den.roots()
         return self._poles
@@ -677,7 +679,7 @@ class Mat2RF:
         return np.array([e(z) for e in self.entries()], dtype=complex).reshape(2, 2)
 
     def apply(self, s):
-        """(a*s + b) / (c*s + d), fully reduced."""
+        """(a*s + b) / (c*s + d), fully reduced by SVD; not CoeffMatrix.apply."""
         s = as_rational(s)
         top = self.a * s + self.b
         bot = self.c * s + self.d
@@ -686,6 +688,7 @@ class Mat2RF:
         return top / bot
 
     def det(self):
+        """a*d - b*c by the generic fraction algebra (see CoeffMatrix.mat)."""
         return self.a * self.d - self.b * self.c
 
     def inverse(self):

@@ -62,12 +62,12 @@ __all__ = [
 ]
 
 
-def _difference(f, g, *, rel=1e-10):
+def _difference(f, g):
     """f - g as f.num g.den - g.num f.den over f.den g.den, unreduced.
 
     A difference of two representations of the same function leaves
     rounding dust that survives relative trimming (it is its own scale), so
-    the numerator counts as zero when it is below `rel` times the scale of
+    the numerator counts as zero when it is below 1e-10 times the scale of
     the products it came from.
     """
     g = as_rational(g)
@@ -76,7 +76,7 @@ def _difference(f, g, *, rel=1e-10):
     for p, q in ((f.num, g.den), (g.num, f.den)):
         if not p.is_zero:
             scale = max(scale, float(np.max(np.abs(p.coeffs)) * np.max(np.abs(q.coeffs))))
-    if not num.is_zero and float(np.max(np.abs(num.coeffs))) <= rel * scale:
+    if not num.is_zero and float(np.max(np.abs(num.coeffs))) <= 1e-10 * scale:
         num = Poly.zero()
     return RationalFn(num, f.den * g.den, reduce=False)
 
@@ -162,7 +162,9 @@ def schur_circle_check(s):
     """Largest modulus of a rational function on circle samples.
 
     By the maximum principle this decides the Schur property for functions
-    analytic on the closed disk. Raises NotSchur beyond tolerance.
+    analytic on the closed disk, which holds when the Schur-Cohn matrix of
+    the denominator has no negative or zero-band eigenvalue. Raises NotSchur
+    otherwise or beyond tolerance.
     """
     return _schur_on_circle(as_rational(s))[0]
 
@@ -170,9 +172,9 @@ def schur_circle_check(s):
 def _schur_on_circle(s):
     """schur_circle_check of a RationalFn, also returning (sup, N, D): the
     values N, D of s.num and s.den at the circle samples."""
-    for p in s.poles():
-        if abs(p) < 1.0 + 1e-9 and abs(abs(p) - 1.0) > 1e-9:
-            raise NotSchur(f"pole at {p} inside the disk")
+    low, band = _disk_poles(s)
+    if low + band:
+        raise NotSchur(f"pole in the closed disk: Schur-Cohn counts {low} negative, {band} zero")
     num, den = s.num(_CIRCLE), s.den(_CIRCLE)
     sup = float(np.max(np.abs(num / den)))
     if not sup <= 1.0 + CIRCLE_TOL:  # NaN too: 0/0 at a sample decides nothing
@@ -421,7 +423,7 @@ def affine_equivalences(s, alpha):
     s1 = recover_parameter(s, data)
     target = 1.0 - 2.0 * alpha
     param_const = _difference(s1, target).is_zero
-    if any(abs(p) <= 1.0 for p in s1.poles()):
+    if sum(_disk_poles(s1)):
         param_bound = False
     else:
         sup = float(np.max(np.abs(s1(_CIRCLE))))

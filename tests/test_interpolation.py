@@ -8,7 +8,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 from conftest import random_admissible_parameter, random_interp_data, unimodular
-from schurkit import interpolation, kernels, rigidity
+from schurkit import interpolation, kernels, rational, rigidity
 from schurkit.errors import (
     InadmissibleParameter,
     InvalidProblemData,
@@ -883,15 +883,39 @@ class TestClosedForm:
         cf = denominator_closed_form(RationalFn.constant(1.0), D4)
         assert cf.allclose(RationalFn.constant(1.0), 1e-12)
 
-    def test_alpha_agrees_with_direct(self):
-        # agreement with c*s1 + d is asserted inside
+    def test_alpha_agrees_with_the_matrix_action(self):
+        # checked inside against c(z) s1(z) + d(z), c and d from CoeffMatrix.eval
         denominator_closed_form(1 - 2 * 0.3, affine_data(0.3))
 
-    def test_random_agreement(self, rng):
-        for k in (1, 2):
-            data = random_interp_data(rng, k)
-            s1 = random_admissible_parameter(rng, data)
-            denominator_closed_form(s1, data)
+    @staticmethod
+    def seeded(k):
+        """Three seeded data of contact order k with admissible parameters."""
+        for i in range(3):
+            rng = np.random.default_rng([9100, k, i])
+            data = random_interp_data(rng, k, min_ratio=0.3 if k < 6 else 1e-3)
+            yield data, random_admissible_parameter(rng, data)
+
+    def test_random_agreement(self):
+        for k in range(1, 9):
+            for data, s1 in self.seeded(k):
+                closed = denominator_closed_form(s1, data)
+                cm = coeff_matrix(data)
+                for z in TestRankOneForm.POINTS:
+                    c, d = cm.eval(z)[1]
+                    ref = c * s1(z) + d
+                    assert abs(closed(z) - ref) <= 1e-9 * (1.0 + abs(ref)), (k, z)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_takes_no_fraction_reduction(self, k, monkeypatch):
+        def refuse(num, den):
+            raise AssertionError("_reduce_fraction called")
+
+        data, s1 = next(self.seeded(k))
+        expected = denominator_closed_form(s1, data)
+        monkeypatch.setattr(rational, "_reduce_fraction", refuse)
+        got = denominator_closed_form(s1, replace(data))  # a fresh build, patched too
+        assert np.array_equal(got.num.coeffs, expected.num.coeffs)
+        assert np.array_equal(got.den.coeffs, expected.den.coeffs)
 
 
 class TestRenormalize:

@@ -376,6 +376,52 @@ class TestClassNote:
         assert rigidity_check(data, -data.tau0, fresh) == expected
 
 
+# A pole 1e-12 inside the circle, halfway between two circle samples.
+NEAR_CIRCLE = (1.0 - 1e-12) * np.exp(1j * (0.31 + np.pi / 512))
+
+
+class TestSchurChecksTakeNoRoots:
+    """Every Schur check decides "a pole in the closed disk" on the Schur-Cohn
+    matrix of the denominator, with Poly.roots refusing to run. Each case
+    has |s| <= 0.2 on the circle samples, so only the pole rule refuses it."""
+
+    @pytest.fixture(autouse=True)
+    def no_roots(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Poly.roots called")
+
+        monkeypatch.setattr(Poly, "roots", refuse)
+
+    @pytest.mark.parametrize(
+        "den",
+        [(-0.5, 1.0), (1.0, -2.5, 1.0), (-NEAR_CIRCLE, 1.0)],
+        ids=["pole-at-half", "all-zero-band", "pole-1e-12-inside"],
+    )
+    def test_disk_pole_is_refused(self, den):
+        s = RationalFn(Poly.constant(1e-3), Poly(den), reduce=False)
+        count, margin = oracle_disk_poles(s)
+        assert count >= 1 and margin >= 1e-13
+        for check in (schur_circle_check, lambda f: contact_order_probe(f, 1.0),
+                      lambda f: horocycle_check(f, 0.5), lambda f: affine_lft_bound(f, 0.5)):
+            with pytest.raises(NotSchur, match="pole in the closed disk"):
+                check(s)
+
+    def test_pole_outside_passes(self):
+        s = RationalFn(Poly.constant(0.1), Poly((-1.5, 1.0)), reduce=False)
+        assert oracle_disk_poles(s)[0] == 0
+        assert schur_circle_check(s) == pytest.approx(0.2, rel=1e-4)
+        assert contact_order_probe(s, 1.0).order == 0
+        # s(1) = -0.2 lies outside the horocycle and breaks |parameter| <= 0
+        assert not horocycle_check(s, 0.5)[0] and not affine_lft_bound(s, 0.5)[0]
+
+    def test_equivalences_and_quartic(self):
+        assert affine_equivalences(affine(0.3), 0.3).parameter_bound
+        rep = affine_equivalences(quartic_half(), 0.5)
+        assert rep.consistent and not rep.parameter_bound
+        with pytest.raises(NotSchur, match="circle modulus"):
+            quartic_perturbation(0.5, 10.0)
+
+
 class TestHorocycle:
     def test_affine_map_contained(self):
         holds, witness = horocycle_check(affine(0.5), 0.5)
