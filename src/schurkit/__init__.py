@@ -61,7 +61,6 @@ from .rigidity import (
     horocycle_check,
     julia_quotient,
     nontangential_path,
-    polar_grid,
     quartic_perturbation,
     rigidity_check,
     schur_circle_check,

@@ -25,10 +25,6 @@ class DegenerateLFT(SchurkitError):
     """The linear-fractional transform has an identically-zero denominator."""
 
 
-class NonConstantDeterminant(SchurkitError):
-    """Matrix inversion requires a constant nonzero determinant."""
-
-
 class NotGeneralizedSchur(SchurkitError):
     """Function fails the circle-modulus bound after Blaschke factor removal."""
 

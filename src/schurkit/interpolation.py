@@ -220,10 +220,10 @@ class CoeffMatrix:
     rigidity verdict, `solution_negative_squares` and the CLI read it
     instead of taking the Pick matrix's eigenvalues again.
 
-    `mat`, the four entries as a Mat2RF, is built on its first read and kept;
-    only the CLI report's `theta` and the demo rows read it. Its `apply` and
-    `det` are the generic fraction algebra with SVD reductions, not the
-    parametrization: at k = 8 `mat.apply` can differ from `apply` by 1e-2.
+    `mat`, the four entries as a Mat2RF over the one denominator of theta,
+    is built on its first read and kept; only the CLI report's `theta` and
+    the demo rows read it. `mat.apply` is the same transform in powers of z,
+    unreduced, and agrees with `apply` in degree.
     """
 
     data: InterpData

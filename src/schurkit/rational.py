@@ -37,7 +37,6 @@ from .errors import (
     BoundaryPole,
     DegenerateLFT,
     DegreeLimitExceeded,
-    NonConstantDeterminant,
     NotGeneralizedSchur,
     PoleAtExpansionPoint,
     PoleAtOne,
@@ -267,13 +266,6 @@ class Poly:
             n >>= 1
         return out
 
-    def monic(self):
-        """Return (monic polynomial, leading coefficient)."""
-        if self.is_zero:
-            raise ZeroDenominator("zero polynomial has no monic form")
-        lead = self.coeffs[-1]
-        return Poly(self.coeffs / lead, trim=False), lead
-
     def shifted(self, center):
         """Coefficients of the polynomial in powers of (z - center)."""
         b = self.coeffs.tolist()
@@ -288,12 +280,6 @@ class Poly:
         if self.degree < 1:
             return np.zeros(0, dtype=complex)
         return npoly.polyroots(self.coeffs)
-
-    def valuation(self, center):
-        """Order of vanishing at `center` (INF for the zero polynomial)."""
-        if self.is_zero:
-            return INF
-        return _valuation(self.shifted(center))
 
     def allclose(self, other, tol=1e-12):
         q = self._coerce(other)
@@ -663,15 +649,6 @@ class Mat2RF:
         self.c = as_rational(c)
         self.d = as_rational(d)
 
-    @classmethod
-    def identity(cls):
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def from_matrix(cls, m):
-        m = np.asarray(m, dtype=complex)
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
@@ -679,28 +656,27 @@ class Mat2RF:
         return np.array([e(z) for e in self.entries()], dtype=complex).reshape(2, 2)
 
     def apply(self, s):
-        """(a*s + b) / (c*s + d), fully reduced by SVD; not CoeffMatrix.apply."""
+        """(A n + B m) / (C n + D m) for s = n / m, with A..D the entries'
+        numerators over the product q of their distinct denominators (compared
+        bit for bit; CoeffMatrix.mat has one).
+
+        Not reduced: a common zero of the pair is, for coprime n and m, a zero
+        of AD - BC = q^2 det. So for an invertible constant matrix the pair is
+        coprime, and for CoeffMatrix.mat (det 1, q a power of the node factor)
+        only a parameter equal to tau0 at z1 shares a node factor with it.
+        """
         s = as_rational(s)
-        top = self.a * s + self.b
-        bot = self.c * s + self.d
+        dens = {e.den.coeffs.tobytes(): e.den for e in self.entries()}
+        A, B, C, D = (
+            math.prod((q for key, q in dens.items() if key != e.den.coeffs.tobytes()), start=e.num)
+            for e in self.entries()
+        )
+        if (A * D - B * C).is_zero:
+            raise DegenerateLFT("transform determinant is identically zero")
+        bot = C * s.num + D * s.den
         if bot.is_zero:
             raise DegenerateLFT("transform denominator is identically zero")
-        return top / bot
-
-    def det(self):
-        """a*d - b*c by the generic fraction algebra (see CoeffMatrix.mat)."""
-        return self.a * self.d - self.b * self.c
-
-    def inverse(self):
-        """Inverse as adjugate over the (constant) determinant."""
-        det = self.det()
-        if not det.is_constant():
-            raise NonConstantDeterminant("determinant is not constant")
-        value = det.constant_value()
-        if abs(value) < 1e-12:
-            raise NonConstantDeterminant("determinant is numerically zero")
-        inv = 1.0 / value
-        return Mat2RF(self.d * inv, self.b * (-inv), self.c * (-inv), self.a * inv)
+        return RationalFn(A * s.num + B * s.den, bot, reduce=False)
 
     def __repr__(self):
         return f"Mat2RF(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"

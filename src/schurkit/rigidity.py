@@ -52,7 +52,6 @@ __all__ = [
     "julia_quotient",
     "contact_order_probe",
     "rigidity_check",
-    "polar_grid",
     "horocycle_check",
     "affine_lft_bound",
     "affine_equivalences",
@@ -295,6 +294,8 @@ def _disk_poles(s):
     """(n_neg, n_zero) of the Schur-Cohn matrix of s.den: s has n_neg to
     n_neg + n_zero poles in the open disk, exactly n_neg when n_zero is 0."""
     den = s.den.coeffs
+    if den.size == 1:
+        return 0, 0
     counts = _core_inertia(den / np.abs(den).max())[2]
     return counts.n_neg, counts.n_zero
 
@@ -309,13 +310,6 @@ def _class_note(s, ev_neg):
         f"disk pole count {count} vs negative Pick eigenvalues {ev_neg}"
         + (" (class mismatch: theorem hypotheses not met)" if mismatch else "")
     )
-
-
-def polar_grid():
-    """Polar grid of 40 radii up to 0.995 by 40 angles in the disk."""
-    radii = np.linspace(0.995 / 40, 0.995, 40)
-    angles = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
-    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
 def horocycle_check(s, alpha):

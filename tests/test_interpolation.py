@@ -275,12 +275,12 @@ class TestCoeffMatrix:
             for name, expected in golden.items():
                 assert getattr(cm.mat, name).allclose(expected, 1e-12)
 
-    def test_det_is_one_reduced(self, rng):
-        for k in (1, 2, 3, 4):
-            cm = coeff_matrix(random_interp_data(rng, k))
-            det = cm.mat.det()
-            assert det.is_constant()
-            assert abs(det.constant_value() - 1.0) < 1e-9
+    def test_det_is_one_at_points(self):
+        # det(I - theta u u* J) = 1 - mu theta with mu = 1 - |tau0|^2 = 0
+        for k in range(1, 9):
+            cm = coeff_matrix(TestRankOneForm.datum(k)[0])
+            for z in TestRankOneForm.POINTS:
+                assert abs(np.linalg.det(cm.eval(z)) - 1.0) <= 1e-9, (k, z)
 
     def test_apply_tau0_is_reduced_constant(self, rng):
         # the transform of tau0 is tau0 D / D with D = (1 - conj(z1) z)^k
@@ -747,10 +747,10 @@ class TestRankOneForm:
     I -+ theta u u* J; each agrees with the entries of `cm.mat`.
 
     The reference for apply is the matrix's pointwise action, mobius of
-    cm.mat.eval(z) at s1(z): the generic cm.mat.apply reduces by SVD and, on
-    these data, drifts from it by up to 1e-2 at k = 8. Recovery at k >= 6
-    misses 1e-9 on some data (an open envelope item); the seeded data here
-    are the suite's fixture seed per k.
+    cm.mat.eval(z) at s1(z); cm.mat.apply, the same transform over the
+    entries' shared denominator, agrees with apply in degree and value.
+    Recovery at k >= 6 misses 1e-9 on some data (an open envelope item); the
+    seeded data here are the suite's fixture seed per k.
     """
 
     POINTS = (0.19 + 0.11j, -0.37, 0.52j, 0.6 - 0.3j)
@@ -769,6 +769,15 @@ class TestRankOneForm:
         for z in self.POINTS:
             ref = mobius(cm.mat.eval(z), s1(z))
             assert abs(s(z) - ref) <= 1e-11 * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_entries_apply_the_same_transform(self, k):
+        data, s1 = self.datum(k)
+        cm = coeff_matrix(data)
+        s, ref = cm.mat.apply(s1), cm.apply(s1)
+        assert s.degree == ref.degree
+        for z in self.POINTS:
+            assert abs(s(z) - ref(z)) <= 1e-11 * (1.0 + abs(ref(z)))
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_inadmissible_parameter_tau0(self, k):
@@ -791,6 +800,20 @@ class TestRankOneForm:
             ref = cm.mat.eval(z)
             bound = 2 * CIRCLE_TOL * (1.0 + np.max(np.abs(ref)))
             assert np.max(np.abs(cm.eval(z) - ref)) <= bound
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("stretch", [1.0, 1.0 + 0.4 * CIRCLE_TOL])
+    def test_det_closed_form(self, k, stretch):
+        # det - 1 = -mu theta, mu = 1 - |tau0|^2, up to rounding of order
+        # eps |theta|^2 in the 2 x 2 determinant
+        data, _ = self.datum(k)
+        data = replace(data, tau0=data.tau0 * stretch)
+        cm = coeff_matrix(data)
+        mu = 1.0 - abs(data.tau0) ** 2
+        for z in self.POINTS:
+            theta = cm.theta(z)
+            resid = np.linalg.det(cm.eval(z)) - 1.0 + mu * theta
+            assert abs(resid) <= 8 * np.finfo(float).eps * (1.0 + abs(theta)) ** 2
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_recover_undoes_apply(self, k):

@@ -12,7 +12,6 @@ from conftest import random_blaschke, random_schur_fn, unimodular
 from schurkit.errors import (
     BoundaryPole,
     DegenerateLFT,
-    NonConstantDeterminant,
     NotGeneralizedSchur,
     PoleAtExpansionPoint,
     PoleAtOne,
@@ -155,7 +154,7 @@ class TestReduction:
 class TestLFT:
     def test_identity(self):
         s = fn([0.3, 0.5], [1, 0.2])
-        assert Mat2RF.identity().apply(s).allclose(s, 1e-12)
+        assert Mat2RF(1, 0, 0, 1).apply(s).allclose(s, 1e-12)
 
     def test_reciprocal_swap(self):
         out = Mat2RF(0, 1, 1, 0).apply(RationalFn.x())
@@ -165,29 +164,26 @@ class TestLFT:
         with pytest.raises(DegenerateLFT):
             Mat2RF(1, 0, 0, 0).apply(RationalFn.x())
 
-    def test_inverse_identity(self):
-        inv = Mat2RF.identity().inverse()
-        s = fn([0.1, 1])
-        assert inv.apply(s).allclose(s, 1e-12)
-
     def test_round_trip(self, rng):
         for _ in range(20):
             m = np.eye(2) + 0.5 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
             if abs(np.linalg.det(m)) < 0.2:
                 continue
-            M = Mat2RF.from_matrix(m)
+            (a, b), (c, d) = m
             s = random_schur_fn(rng, 2)
             try:
-                image = M.apply(s)
+                image = Mat2RF(a, b, c, d).apply(s)
             except DegenerateLFT:
                 continue
-            back = M.inverse().apply(image)
+            # The adjugate undoes the transform; the pair it returns is s
+            # times the constant det, which the monic denominator divides out.
+            back = Mat2RF(d, -b, -c, a).apply(image)
+            assert back.degree == s.degree
             assert back.allclose(s, 1e-8)
 
-    def test_nonconstant_determinant_rejected(self):
-        M = Mat2RF(RationalFn.x(), 0, 0, 1)
-        with pytest.raises(NonConstantDeterminant):
-            M.inverse()
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(DegenerateLFT, match="determinant"):
+            Mat2RF(1, 2, 2, 4).apply(RationalFn.x())
 
 
 class TestBlaschke:

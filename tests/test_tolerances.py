@@ -5,10 +5,13 @@ a public function takes are verify_expansion(order_tol) and
 krein_langer_factor(circle_tol), which the CLI sets, plus the precision of
 the two allclose methods; every parameter with a default is pinned here so a
 deleted keyword cannot come back unnoticed. The public names (each module's
-__all__ and its classes' public attributes) are pinned the same way.
+__all__ and its classes' public attributes) are pinned the same way, and
+the benchmark's tracer, which re-binds some of them by name, must install.
 """
 
+import importlib
 import inspect
+from pathlib import Path
 
 import schurkit
 from schurkit import interpolation, kernels, rational, rigidity
@@ -81,22 +84,20 @@ PUBLIC = {
         "ContactReport", "EquivalenceReport", "PathSpec", "RigidityVerdict", "affine_equivalences",
         "affine_lft_bound", "cayley_decomposition", "contact_order_probe",
         "estimate_order_on_path", "horocycle_check", "julia_quotient", "nontangential_path",
-        "polar_grid", "quartic_perturbation", "rigidity_check", "schur_circle_check",
+        "quartic_perturbation", "rigidity_check", "schur_circle_check",
     ],
 }
 ATTRIBUTES = {
     "Poly": [
-        "allclose", "coeffs", "constant", "degree", "from_roots", "is_zero", "monic", "one",
-        "roots", "shifted", "valuation", "x", "zero",
+        "allclose", "coeffs", "constant", "degree", "from_roots", "is_zero", "one", "roots",
+        "shifted", "x", "zero",
     ],
     "RationalFn": [
         "allclose", "constant", "constant_value", "degree", "den", "is_constant", "is_zero",
         "num", "poles", "taylor", "vanishing_order", "x",
     ],
     "BlaschkeProduct": ["as_rational", "const", "order", "zeros"],
-    "Mat2RF": [
-        "a", "apply", "b", "c", "d", "det", "entries", "eval", "from_matrix", "identity", "inverse",
-    ],
+    "Mat2RF": ["a", "apply", "b", "c", "d", "entries", "eval"],
     "InterpData": ["expected_coefficients", "k", "tau", "tau0", "z0", "z1"],
     "ExpansionReport": ["coefficients", "expected", "passed", "residuals", "tolerance"],
     "CoeffMatrix": ["apply", "data", "eval", "mat", "neutral", "pick", "poly", "theta"],
@@ -130,3 +131,18 @@ def test_public_names_are_pinned():
         n for n, v in vars(schurkit).items() if not n.startswith("_") and not inspect.ismodule(v)
     }
     assert exported - {n for m in modules for n in m.__all__} == {"INF", "SchurkitError"}
+
+
+def test_benchmark_tracer_installs(monkeypatch):
+    # bench/tracing.py patches Mat2RF.apply and eval and requires aliases such
+    # as rigidity.inertia and cli.inertia; it raises if one of them is gone.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    apply, init = rational.Mat2RF.apply, rational.RationalFn.__init__
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert rational.Mat2RF.apply is not apply
+    finally:
+        tracer.uninstall()
+    assert rational.Mat2RF.apply is apply and rational.RationalFn.__init__ is init
