@@ -51,10 +51,6 @@ class NotHermitian(SchurkitError):
     overflow."""
 
 
-class NoAnalyticPoints(SchurkitError):
-    """Pole clearance leaves no room to sample the disk."""
-
-
 class NonHermitianPick(SchurkitError):
     """The structured Pick matrix is not Hermitian; the parametrization
     requires Hermitian data and no fallback is attempted."""

@@ -449,7 +449,7 @@ def recover_parameter(s, data, *, theta=None):
         raise DegenerateLFT("s is the transform of the parameter infinity")
     j = _node_contact(s, data.z1, data.expected_coefficients())
     s1 = _node_quotient(data.z1, top, bot, j)
-    top, bot = (Poly(a, trim=False) for a in cm._transform(*s1._shifted(data.z1)[:2], -1))
+    top, bot = (Poly(a) for a in cm._transform(*s1._shifted(data.z1)[:2], -1))
     for x in (0.19 + 0.11j, -0.37, 0.52j):
         t = x - data.z1
         ref, got = s(x), top(t) / bot(t)

@@ -1,7 +1,9 @@
 """Complex rational-function arithmetic on the unit disk.
 
-Polynomials are stored as ascending complex coefficient arrays; rational
-functions keep a reduced numerator/denominator pair with a monic denominator.
+Polynomials are stored as ascending complex coefficient arrays, every given
+coefficient kept but exact trailing zeros; only a sum trims, the dust of a
+cancellation against its operands' scale. Rational functions keep a reduced
+numerator/denominator pair with a monic denominator.
 Reduction solves for the cofactors of the greatest common divisor in the null
 space of a Sylvester-type matrix and keeps them only if the quotient still
 evaluates like the input; no roots are computed.
@@ -43,7 +45,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .tolerances import BOUNDARY_MARGIN, CIRCLE_SAMPLES, CIRCLE_TOL, MAX_DEGREE
-from .tolerances import ORDER_TOL, ROOT_TOL, TRIM_REL
+from .tolerances import ORDER_TOL, REFLECTION_FLOOR, ROOT_TOL, TRIM_REL
 
 __all__ = [
     "Poly",
@@ -71,27 +73,19 @@ def _kept(a, cut):
     return k
 
 
+def _top(a):
+    """Largest modulus of the nonempty array `a`; argmax finds a NaN modulus
+    first, if there is one."""
+    mag = np.abs(a)
+    return mag[mag.argmax()]
+
+
 def _trim(a):
     """`a` without the trailing coefficients at or below TRIM_REL times its
-    largest magnitude; argmax finds a NaN magnitude first, if there is one."""
+    largest magnitude."""
     if a.size == 0:
         return a
-    mag = np.abs(a)
-    return a[: _kept(a, TRIM_REL * mag[mag.argmax()])]
-
-
-def _series(a):
-    """Nonempty `a` without trailing exact zeros (one kept), as
-    numpy.polynomial trims its arguments and its results."""
-    if a[-1] != 0:
-        return a
-    nz = a.nonzero()[0]
-    return a[: nz[-1] + 1] if nz.size else a[:1]
-
-
-def _mul(a, b):
-    """Product of two nonempty coefficient arrays, as npoly.polymul forms it."""
-    return _series(np.convolve(_series(a), _series(b)))
+    return a[: _kept(a, TRIM_REL * _top(a))]
 
 
 def _horner(c, z, zero):
@@ -144,27 +138,22 @@ class Poly:
     """Polynomial with complex coefficients in ascending degree order.
 
     The zero polynomial has an empty coefficient array and degree -1.
-    Trailing coefficients below TRIM_REL times the largest magnitude are
-    dropped on construction.
+    Construction keeps every coefficient it is given except exact trailing
+    zeros. Only a sum trims further: it drops the trailing coefficients at or
+    below TRIM_REL times the larger operand's largest modulus, the dust a
+    cancellation leaves, measured against what was added.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=(), *, trim=True):
-        if isinstance(coeffs, Poly):
-            a = coeffs.coeffs.copy()
-        else:
-            a = np.asarray(coeffs, dtype=complex).ravel()
-        mag = np.abs(a)
-        scale = mag[mag.argmax()] if a.size else 0.0
+    def __init__(self, coeffs=()):
+        a = np.array(coeffs.coeffs if isinstance(coeffs, Poly) else coeffs, dtype=complex).ravel()
         # A NaN or infinite coefficient makes the largest magnitude non-finite
         # (argmax finds a NaN first); so does a finite coefficient whose
-        # modulus overflows, which no trim cut or scale could handle.
-        if not scale < INF:
+        # modulus overflows.
+        if a.size and not _top(a) < INF:
             raise ValueError("non-finite coefficient")
-        if trim:
-            a = a[: _kept(a, TRIM_REL * scale)].copy()
-        self.coeffs = a
+        self.coeffs = a[: _kept(a, 0.0)]
 
     @classmethod
     def zero(cls):
@@ -186,7 +175,7 @@ class Poly:
     def from_roots(cls, roots, leading=1.0):
         p = np.array([complex(leading)])
         for r in roots:
-            p = _mul(p, np.array([-complex(r), 1.0]))
+            p = np.convolve(p, np.array([-complex(r), 1.0]))
         return cls(p)
 
     @property
@@ -223,12 +212,12 @@ class Poly:
             return Poly(q.coeffs)
         if q.is_zero:
             return Poly(self.coeffs)
-        a, b = _series(self.coeffs), _series(q.coeffs)
+        a, b = self.coeffs, q.coeffs
         if a.size <= b.size:
             a, b = b, a
         out = a.copy()
         out[: b.size] += b
-        return Poly(out)
+        return Poly(out[: _kept(out, TRIM_REL * max(_top(a), _top(b)))])
 
     __radd__ = __add__
 
@@ -242,7 +231,7 @@ class Poly:
         return (-self) + other
 
     def __neg__(self):
-        return Poly(-self.coeffs, trim=False)
+        return Poly(-self.coeffs)
 
     def __mul__(self, other):
         q = self._coerce(other)
@@ -250,7 +239,7 @@ class Poly:
             return NotImplemented
         if self.is_zero or q.is_zero:
             return Poly.zero()
-        return Poly(_mul(self.coeffs, q.coeffs))
+        return Poly(np.convolve(self.coeffs, q.coeffs))
 
     __rmul__ = __mul__
 
@@ -395,8 +384,8 @@ class RationalFn:
         cd[-1] = 1.0
         cn = cn / lead
         try:
-            self.num = Poly(cn, trim=False)
-            self.den = Poly(cd, trim=False)
+            self.num = Poly(cn)
+            self.den = Poly(cd)
         except ValueError:  # finite coefficients over a tiny leading one
             raise ValueError(
                 f"dividing by the leading denominator coefficient {complex(lead)!r} "
@@ -418,7 +407,7 @@ class RationalFn:
         num, den = num / den[-1], den / den[-1]
         den[-1] = 1.0
         c = complex(center)
-        zn, zd = (Poly(Poly(a, trim=False).shifted(-c), trim=False) for a in (num, den))
+        zn, zd = (Poly(Poly(a).shifted(-c)) for a in (num, den))
         f = cls(zn, zd, reduce=False)
         f._center, f._expansion = (c.real.hex(), c.imag.hex()), (num, den, [])
         return f
@@ -493,7 +482,7 @@ class RationalFn:
             c = complex(other)
             if c == 0:
                 return RationalFn.constant(0.0)
-            return RationalFn(Poly(self.num.coeffs * c, trim=False), self.den, reduce=False)
+            return RationalFn(Poly(self.num.coeffs * c), self.den, reduce=False)
         g = self._coerce(other)
         if g is NotImplemented:
             return NotImplemented
@@ -631,7 +620,8 @@ class BlaschkeProduct:
         num = Poly.from_roots(self.zeros, self.const)
         den = Poly.one()
         for a in self.zeros:
-            den = den * Poly((1.0, -np.conj(a)))
+            if abs(a) > REFLECTION_FLOOR:
+                den = den * Poly((1.0, -np.conj(a)))
         return RationalFn(num, den, reduce=False)  # poles reflect the zeros: coprime
 
     def __repr__(self):
@@ -690,7 +680,8 @@ def krein_langer_factor(s, *, circle_tol=CIRCLE_TOL):
     modulus first) is divided out of the denominator, and its reflection
     1 - conj(a) z out of the numerator where s vanishes at 1 / conj(a), i.e.
     the reversed numerator vanishes at conj(a) within ROOT_TOL of its
-    majorant; otherwise the reflection becomes a factor of the denominator.
+    majorant; otherwise the reflection becomes a factor of the denominator,
+    unless |a| <= REFLECTION_FLOOR makes it 1 within rounding on the disk.
 
     The order of b is the negative-squares index of s. Raises BoundaryPole if
     a pole sits numerically on the circle and NotGeneralizedSchur when the
@@ -713,8 +704,8 @@ def krein_langer_factor(s, *, circle_tol=CIRCLE_TOL):
         q, r = _deflate(num[::-1], c)
         if abs(r) <= ROOT_TOL * _majorant(num[::-1], c):
             num = q[::-1]
-        else:
-            den = _mul(den, np.array((1.0, -c)))
+        elif abs(c) > REFLECTION_FLOOR:
+            den = np.convolve(den, np.array((1.0, -c)))
     s0 = RationalFn(num, den, reduce=False)
     b = BlaschkeProduct(disk, 1.0)
     sup = float(np.max(np.abs(s0(_CIRCLE))))

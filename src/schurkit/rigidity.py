@@ -62,22 +62,11 @@ __all__ = [
 
 
 def _difference(f, g):
-    """f - g as f.num g.den - g.num f.den over f.den g.den, unreduced.
-
-    A difference of two representations of the same function leaves
-    rounding dust that survives relative trimming (it is its own scale), so
-    the numerator counts as zero when it is below 1e-10 times the scale of
-    the products it came from.
-    """
+    """f - g as f.num g.den - g.num f.den over f.den g.den, unreduced. For two
+    forms of one function the products differ only by dust against their own
+    scale, which the sum rule of Poly drops: the numerator is zero."""
     g = as_rational(g)
-    num = f.num * g.den - g.num * f.den
-    scale = 1.0
-    for p, q in ((f.num, g.den), (g.num, f.den)):
-        if not p.is_zero:
-            scale = max(scale, float(np.max(np.abs(p.coeffs)) * np.max(np.abs(q.coeffs))))
-    if not num.is_zero and float(np.max(np.abs(num.coeffs))) <= 1e-10 * scale:
-        num = Poly.zero()
-    return RationalFn(num, f.den * g.den, reduce=False)
+    return RationalFn(f.num * g.den - g.num * f.den, f.den * g.den, reduce=False)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,14 @@ except `verify_expansion(order_tol)` and `krein_langer_factor(circle_tol)`,
 which the CLI's `--tol-order` and `--tol-circle` set.
 """
 
-# Relative cutoff for trailing polynomial coefficients (scaled by the largest
-# coefficient magnitude of the polynomial being trimmed).
+# Relative cutoff for the trailing coefficients of a polynomial sum, scaled by
+# the larger operand's largest coefficient modulus: the dust a cancellation
+# leaves. Construction keeps every coefficient but exact trailing zeros.
 TRIM_REL = 1e-12
+
+# Modulus (eps / 4) at or below which a reflection factor 1 - conj(a) z equals
+# 1 within rounding on the closed disk, so it is not multiplied in.
+REFLECTION_FLOOR = 2.0**-54
 
 # Pole detection at a Taylor expansion point, and the Krein-Langer test
 # whether a disk pole's reflection cancels against a zero of the numerator.

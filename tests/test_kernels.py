@@ -15,7 +15,6 @@ from schurkit import kernels
 from schurkit.errors import (
     BoundaryPole,
     DiagonalSingularity,
-    NoAnalyticPoints,
     NotGeneralizedSchur,
     NotHermitian,
     PoleProximity,
@@ -343,6 +342,10 @@ def ref_pole_probes(poles, clearance):
     ]
 
 
+class NoAnalyticPoints(Exception):
+    """Pole clearance leaves no room to sample the disk."""
+
+
 def ref_draw_points(rng, count, radius, clearance, poles, existing):
     out = list(existing)
     attempts = 0
@@ -630,8 +633,8 @@ def _scaled_pair(s):
 
 
 def _generalized_schur(rng, d, kappa, inner):
-    """Untrimmed c B(zeros) / B(poles) of degree d with kappa disk poles,
-    built from coefficient arrays, so no trim or reduction changes it."""
+    """c B(zeros) / B(poles) of degree d with kappa disk poles, built from
+    coefficient arrays, so no reduction changes it."""
     zeros, poles = _disk_draws(rng, d - kappa), _disk_draws(rng, kappa)
     num = np.array([rng.uniform(0.3, 0.95) if not inner else 1.0], dtype=complex)
     den = np.ones(1, dtype=complex)
@@ -639,7 +642,7 @@ def _generalized_schur(rng, d, kappa, inner):
         num, den = np.convolve(num, [-a, 1]), np.convolve(den, [1, -np.conj(a)])
     for p in poles:
         num, den = np.convolve(num, [1, -np.conj(p)]), np.convolve(den, [-p, 1])
-    return RationalFn(Poly(num, trim=False), Poly(den, trim=False), reduce=False)
+    return RationalFn(Poly(num), Poly(den), reduce=False)
 
 
 _core_points = st.lists(st.builds(polar, st.floats(0.0, 0.9), _angles), max_size=8)

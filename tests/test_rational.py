@@ -1,6 +1,8 @@
 """Rational-function arithmetic, expansions, transforms, factorization."""
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -31,11 +33,18 @@ from schurkit.rational import (
     unit_circle_samples,
     vanishing_order,
 )
-from schurkit.tolerances import ROOT_TOL, TRIM_REL
+from schurkit.tolerances import CIRCLE_TOL, ROOT_TOL, TRIM_REL
 
 
 def fn(num, den=(1.0,)):
     return RationalFn(Poly(num), Poly(den))
+
+
+@pytest.fixture
+def gen(monkeypatch):
+    """The benchmark's input generator, bench/gen.py (numpy only)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return importlib.import_module("gen")
 
 
 class TestPoly:
@@ -57,8 +66,16 @@ class TestPoly:
         assert Poly([0.0, 0.0]).is_zero
 
     def test_trim_relative_to_scale(self):
-        p = Poly([1e6, 1e-8])
-        assert p.degree == 0
+        # Construction keeps every coefficient but exact trailing zeros.
+        assert Poly([1e6, 1e-8]).degree == 1
+        assert Poly([1.0, 0.0, -0.0j]).degree == 0
+        # A sum drops the dust it leaves against the larger operand's scale:
+        # 2^-23 is at most TRIM_REL times 1e6, but not times the sum's own 1.
+        p, q = Poly([1.0, 1e6]), Poly([0.0, -1e6 + 2.0**-23])
+        assert 2.0**-23 <= TRIM_REL * 1e6 and 2.0**-23 > TRIM_REL
+        assert (p + q).coeffs.tolist() == [1.0]
+        assert (p + Poly([0.0, -1e6 + 1.0])).coeffs.tolist() == [1.0, 1.0]
+        assert (p - p).is_zero
 
     def test_shift_reconstructs_values(self):
         p = Poly([2, -1, 3, 0.5j])
@@ -213,6 +230,13 @@ class TestBlaschke:
         with pytest.raises(ValueError, match="unimodular"):
             BlaschkeProduct([0.5], const=bad)
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_zero_has_no_reflection_factor(self):
+        # 1 - conj(a) z with |a| <= eps / 4 is 1 within rounding on the
+        # closed disk: it is left out, so no monic division overflows
+        r = BlaschkeProduct([2.2e-309]).as_rational()
+        assert r.num.coeffs.tolist() == [-2.2e-309, 1.0] and r.den.coeffs.tolist() == [1.0]
+
 
 class TestKreinLanger:
     def test_reciprocal(self):
@@ -260,6 +284,27 @@ class TestKreinLanger:
         s0, b = krein_langer_factor(s)
         assert s0.is_zero and b.order == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_pole_adds_no_reflection_factor(self):
+        s0, b = krein_langer_factor(RationalFn([1], [-1e-310, 1]))
+        assert s0.num.coeffs.tolist() == [1.0] and s0.den.coeffs.tolist() == [1.0]
+        assert b.zeros == (1e-310,) and b.const == 1.0
+
+    @pytest.mark.parametrize("i", [0, 12, 44])
+    def test_degree_32_keeps_every_coefficient(self, gen, i):
+        # Generalized Schur by construction with kappa disk poles. The
+        # leading coefficients of s0 are products of many zeros: cut short,
+        # s0 exceeded modulus 1 on the circle and the factor refused.
+        kappa = i % 9
+        rng = np.random.default_rng([7700, 32, i])
+        num, den, _ = gen.generalized_schur(rng, kappa, 32 - kappa, inner=True)
+        s = RationalFn(Poly(num), Poly(den), reduce=False)
+        s0, b = krein_langer_factor(s)
+        assert b.order == kappa
+        w = unit_circle_samples(512)
+        assert np.max(np.abs(s0(w))) <= 1.0 + CIRCLE_TOL
+        assert np.max(np.abs(s0(w) - s(w) * b(w))) <= 1e-8
+
     def test_product_reconstructs(self, rng):
         for _ in range(10):
             b = random_blaschke(rng, 2, min_degree=1, radius=0.7)
@@ -302,17 +347,13 @@ def test_degree_cap():
 # for bit.
 
 
-def ref_poly_coeffs(a, trim=True):
+def ref_poly_coeffs(a, cut=0.0):
+    """`a` without its trailing coefficients of modulus at or below `cut`."""
     a = np.atleast_1d(np.asarray(a, dtype=complex)).ravel()
     if a.size and not np.all(np.isfinite(a.view(float))):
         raise ValueError("non-finite coefficient")
-    if not trim or a.size == 0:
-        return a
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return a[:0]
     k = a.size
-    while k > 0 and abs(a[k - 1]) <= TRIM_REL * scale:
+    while k > 0 and abs(a[k - 1]) <= cut:
         k -= 1
     return a[:k].copy()
 
@@ -386,14 +427,14 @@ _bitwise = settings(max_examples=100, deadline=None, derandomize=True)
 
 class TestScalarCoreBitwise:
     @_bitwise
-    @given(_coeffs, st.booleans())
-    def test_construction(self, c, trim):
-        assert same_bits(Poly(c, trim=trim).coeffs, ref_poly_coeffs(c, trim))
+    @given(_coeffs)
+    def test_construction(self, c):
+        assert same_bits(Poly(c).coeffs, ref_poly_coeffs(c))
 
     @_bitwise
     @given(_coeffs, st.one_of(_scalars, _centres))
     def test_scalar_call(self, c, z):
-        p = Poly(c, trim=False)
+        p = Poly(c)
         got = p(z)
         assert same_bits(got, ref_call(p.coeffs, z))
         assert type(got) is (np.complex128 if p.coeffs.size else complex)
@@ -409,7 +450,7 @@ class TestScalarCoreBitwise:
     @_bitwise
     @given(_coeffs, _centres)
     def test_shifted(self, c, centre):
-        p = Poly(c, trim=False)
+        p = Poly(c)
         assert same_bits(p.shifted(centre), ref_shifted(p.coeffs, centre))
 
     @_bitwise
@@ -425,17 +466,19 @@ class TestScalarCoreBitwise:
         assert same_bits(f.taylor(centre, order), ref)
 
     @_bitwise
-    @given(_coeffs, _coeffs, st.booleans(), st.booleans())
-    # An exact trailing zero of an untrimmed operand: numpy.polynomial drops
-    # it, which keeps the sign of a zero in the sum and, by changing which
-    # operand is longer, the order of the convolution's sums.
-    @example([1, 0j], [2, complex(-0.0, -0.0), 3], False, True)
-    @example([1, 1 - 1j, -1], [-1e-300, 1, -1 - 1j, 0j], True, False)
-    def test_add_and_mul(self, c1, c2, trim1, trim2):
-        p, q = Poly(c1, trim=trim1), Poly(c2, trim=trim2)
+    @given(_coeffs, _coeffs)
+    # An exact trailing zero: construction drops it, as numpy.polynomial
+    # drops it from an operand, which keeps the sign of a zero in the sum
+    # and, by changing which operand is longer, the order of the
+    # convolution's sums.
+    @example([1, 0j], [2, complex(-0.0, -0.0), 3])
+    @example([1, 1 - 1j, -1], [-1e-300, 1, -1 - 1j, 0j])
+    def test_add_and_mul(self, c1, c2):
+        p, q = Poly(c1), Poly(c2)
         if p.is_zero or q.is_zero:
             return
-        assert same_bits((p + q).coeffs, ref_poly_coeffs(npoly.polyadd(p.coeffs, q.coeffs)))
+        cut = TRIM_REL * max(np.abs(p.coeffs).max(), np.abs(q.coeffs).max())
+        assert same_bits((p + q).coeffs, ref_poly_coeffs(npoly.polyadd(p.coeffs, q.coeffs), cut))
         assert same_bits((p * q).coeffs, ref_poly_coeffs(npoly.polymul(p.coeffs, q.coeffs)))
 
     @_bitwise
@@ -622,27 +665,24 @@ class TestNodeConstructor:
 class TestScalarCoreContract:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_raises_value_error(self):
-        for trim in (True, False):
-            with pytest.raises(ValueError, match="non-finite"):
-                Poly([1e200], trim=trim) * Poly([1e200], trim=trim)
-            with pytest.raises(ValueError, match="non-finite"):
-                Poly([1e308], trim=trim) + Poly([1e308], trim=trim)
+        with pytest.raises(ValueError, match="non-finite"):
+            Poly([1e200]) * Poly([1e200])
+        with pytest.raises(ValueError, match="non-finite"):
+            Poly([1e308]) + Poly([1e308])
 
     def test_overflowing_modulus_raises(self):
-        # Finite parts whose modulus overflows: no trim cut can be formed.
-        for trim in (True, False):
-            with pytest.raises(ValueError, match="non-finite"):
-                Poly([1.0, 1.5e308 + 1.5e308j], trim=trim)
+        # Finite parts whose modulus overflows.
+        with pytest.raises(ValueError, match="non-finite"):
+            Poly([1.0, 1.5e308 + 1.5e308j])
 
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, math.inf)]
     )
     def test_non_finite_coefficient_raises(self, bad):
-        for trim in (True, False):
-            with pytest.raises(ValueError, match="non-finite"):
-                Poly([1.0, bad, 2.0], trim=trim)
-            with pytest.raises(ValueError, match="non-finite"):
-                Poly([bad], trim=trim)
+        with pytest.raises(ValueError, match="non-finite"):
+            Poly([1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            Poly([bad])
 
     def test_pole_value_is_inf_or_nan(self):
         cases = (([1], [0, 1], 0.0), ([1], [-0.5, 1], 0.5 + 0j), ([0, 1], [0, 1], np.float64(0.0)))

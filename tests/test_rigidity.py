@@ -183,6 +183,21 @@ class TestRigidityCheck:
         v = rigidity_check(D4, -1.0, RationalFn.x())
         assert v.forced_identity and v.observed_order == INF and v.required_order == 4
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_forced_identity_at_every_order(self, k):
+        # T(x) with numerator and denominator scaled is made monic again, so
+        # its coefficients differ from T(x)'s in the last bits: the
+        # difference is dust against its products, and the identity is
+        # forced. The seeded solution deviates from x at order 0.
+        data, s = seeded_solution(k)
+        x = -data.tau0
+        b = solve(data, x)
+        for c in (3.0, 0.7j, 1.0 / 3.0):
+            v = rigidity_check(data, x, RationalFn(b.num * c, b.den * c, reduce=False))
+            assert v.forced_identity and v.observed_order == INF and v.required_order == 2 * k + 2
+        v = rigidity_check(data, x, s)
+        assert not v.forced_identity and v.observed_order == 2 * k
+
     def test_not_forced_at_order_three(self):
         s = solve(D4, RationalFn([0, -1]))
         v = rigidity_check(D4, -1.0, s)

@@ -17,7 +17,7 @@ import schurkit
 from schurkit import interpolation, kernels, rational, rigidity
 
 EXPECTED = {
-    "rational.Poly.__init__": ["coeffs", "trim"],
+    "rational.Poly.__init__": ["coeffs"],
     "rational.Poly.from_roots": ["leading"],
     "rational.Poly.allclose": ["tol"],
     "rational.RationalFn.__init__": ["den", "reduce"],

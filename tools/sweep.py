@@ -7,12 +7,15 @@ and the inputs are built by ./bench/gen.py, which is only imported, never
 changed. For each degree d, function i (i < --per-degree) is
 `gen.generalized_schur` drawn from `default_rng([7700, d, i])` with
 kappa = i % 9 disk poles, d - kappa zeros and |c| = 1 (inner) on even i, so
-it has exactly kappa negative squares. It is built with `reduce=False` and
-untrimmed coefficients, so the count sees the function as drawn.
+it has exactly kappa negative squares. It is built with `reduce=False`, so
+the count sees the function as drawn.
 
 Each cell (degree, inner) records how many counts were right, wrong and
 refused (by error type), and the median and maximum microseconds per count
-(`estimate_negative_squares` on the built function, one call each).
+(`estimate_negative_squares` on the built function, one call each). Its
+`factor` entry records the same for the order of `krein_langer_factor`'s
+Blaschke product, and how many answers have |s0| > 1 + CIRCLE_TOL on the
+circle samples `unit_circle_samples(512)`.
 
 The class note of `rigidity_check` is swept over interp solutions: for
 each k = 1..8, parameter degree 1..16 and j < PER_CELL (2), a datum and an
@@ -59,24 +62,38 @@ def git(*args):
 
 
 def sweep_cell(sk, gen, d, inner, per_degree):
-    """Counts and timings of one (degree, inner) cell."""
+    """Counts, factor outcomes and timings of one (degree, inner) cell."""
+    from schurkit.tolerances import CIRCLE_TOL
+
     right, wrong, refused, micros = 0, [], Counter(), []
+    factor = {"right": 0, "wrong": [], "refused": Counter(), "above_circle": 0}
+    circle = sk.unit_circle_samples(512)
     for i in range(int(not inner), per_degree, 2):
         kappa = i % 9
         num, den, _ = gen.generalized_schur(np.random.default_rng([7700, d, i]), kappa, d - kappa, inner=inner)
-        f = sk.RationalFn(sk.Poly(num, trim=False), sk.Poly(den, trim=False), reduce=False)
+        f = sk.RationalFn(sk.Poly(num), sk.Poly(den), reduce=False)
         start = time.perf_counter()
         try:
             count = sk.estimate_negative_squares(f)
         except sk.SchurkitError as exc:
-            micros.append(1e6 * (time.perf_counter() - start))
-            refused[type(exc).__name__] += 1
-            continue
+            count = type(exc).__name__
         micros.append(1e6 * (time.perf_counter() - start))
-        if count == kappa:
+        if isinstance(count, str):
+            refused[count] += 1
+        elif count == kappa:
             right += 1
         else:
             wrong.append({"i": i, "kappa": kappa, "count": count})
+        try:
+            s0, b = sk.krein_langer_factor(f)
+        except sk.SchurkitError as exc:
+            factor["refused"][type(exc).__name__] += 1
+            continue
+        if b.order == kappa:
+            factor["right"] += 1
+        else:
+            factor["wrong"].append({"i": i, "kappa": kappa, "order": b.order})
+        factor["above_circle"] += int(np.max(np.abs(s0(circle))) > 1.0 + CIRCLE_TOL)
     return {
         "degree": d,
         "inner": inner,
@@ -87,6 +104,13 @@ def sweep_cell(sk, gen, d, inner, per_degree):
         "median_us": round(statistics.median(micros), 1),
         "max_us": round(max(micros), 1),
         "wrong_counts": wrong,
+        "factor": {
+            "right": factor["right"],
+            "wrong": len(factor["wrong"]),
+            "refused": dict(sorted(factor["refused"].items())),
+            "above_circle": factor["above_circle"],
+            "wrong_orders": factor["wrong"],
+        },
     }
 
 
@@ -162,8 +186,11 @@ def main():
             cell = sweep_cell(sk, gen, d, inner, args.per_degree)
             cells.append(cell)
             refused = sum(cell["refused"].values())
+            fac = cell["factor"]
             print(f"d={d:<3} inner={inner!s:<5} right={cell['right']:<3} wrong={cell['wrong']:<3} "
-                  f"refused={refused:<3} median={cell['median_us']:.0f}us max={cell['max_us']:.0f}us",
+                  f"refused={refused:<3} median={cell['median_us']:.0f}us max={cell['max_us']:.0f}us "
+                  f"factor right={fac['right']} wrong={fac['wrong']} refused={fac['refused']} "
+                  f"above_circle={fac['above_circle']}",
                   file=sys.stderr)
     verdicts, refused = verdict_cells(sk, gen)
     for cell in verdicts:
@@ -180,7 +207,8 @@ def main():
             "numpy": np.__version__,
         },
         "sweep": "estimate_negative_squares on gen.generalized_schur, default_rng([7700, d, i]), "
-                 "kappa = i % 9, inner on even i, reduce=False, untrimmed",
+                 "and krein_langer_factor on the same functions, kappa = i % 9, "
+                 "inner on even i, reduce=False",
         "per_degree": args.per_degree,
         "cells": cells,
         "verdict_sweep": "rigidity class note on interp solutions: gen.boundary_datum and "
